@@ -18,6 +18,12 @@
 #                                             # kill a worker + truncate a
 #                                             # shard, require byte-identical
 #                                             # recovery and resume
+#   scripts/check.sh cache                    # dataset-cache smoke: a cold
+#                                             # `repro trace --cache-dir`
+#                                             # stores one .cols entry, a
+#                                             # second run hits it with the
+#                                             # same totals (also run by
+#                                             # the default gate)
 #   scripts/check.sh serve                    # closed-loop serving smoke:
 #                                             # toy serve-bench must shed
 #                                             # nothing and error nothing at
@@ -26,6 +32,42 @@
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
+
+# Cold then warm `repro trace` on one cache dir: the first run must store
+# the entry, the second must hit it with the same totals, and the dir
+# must hold exactly one `trace-*.cols` entry and no gzip file.
+cache_smoke() {
+    local tmp first second
+    tmp="$(mktemp -d /tmp/repro-cache-smoke.XXXXXX)"
+    first="$(PYTHONPATH=src python -m repro trace --scale 0.002 --cache-dir "$tmp")"
+    second="$(PYTHONPATH=src python -m repro trace --scale 0.002 --cache-dir "$tmp")"
+    local entries=("$tmp"/trace-*.cols) gz=("$tmp"/*.gz)
+    local problem=""
+    if ! grep -q "^dataset cache   miss -> stored" <<<"$first"; then
+        problem="first run did not store a cache entry"
+    elif ! grep -q "^dataset cache   hit" <<<"$second"; then
+        problem="second run did not hit the cache"
+    elif [[ "$(grep -E '^(broadcasts|total views) ' <<<"$first")" != \
+            "$(grep -E '^(broadcasts|total views) ' <<<"$second")" ]]; then
+        problem="cache hit changed the broadcast or view totals"
+    elif [[ ${#entries[@]} -ne 1 || ! -f "${entries[0]}" ]]; then
+        problem="expected exactly one trace-*.cols entry, found: $(ls "$tmp")"
+    elif [[ -e "${gz[0]}" ]]; then
+        problem="gzip file left in the cache dir: $(ls "$tmp")"
+    fi
+    rm -rf "$tmp"
+    if [[ -n "$problem" ]]; then
+        printf 'cache smoke FAILED: %s\n--- first run\n%s\n--- second run\n%s\n' \
+            "$problem" "$first" "$second" >&2
+        return 1
+    fi
+    echo "cache ok: miss -> stored, then hit; one .cols entry, no gzip"
+}
+
+if [[ "${1:-}" == "cache" ]]; then
+    cache_smoke
+    exit 0
+fi
 
 if [[ "${1:-}" == "lint" ]]; then
     shift
@@ -133,5 +175,6 @@ fi
 python -m compileall -q src
 PYTHONPATH=src python -m repro lint src benchmarks
 PYTHONPATH=src python -m pytest -x -q -m "not tier2" "$@"
+cache_smoke
 OBS_OVERHEAD_SMOKE=1 PYTHONPATH=src python -m pytest -x -q \
     benchmarks/test_obs_overhead.py::test_null_registry_overhead_within_budget

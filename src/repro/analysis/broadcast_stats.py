@@ -8,6 +8,7 @@ from repro.analysis.cdf import Cdf
 from repro.crawler.dataset import (
     BroadcastDataset,
     creations_per_user,
+    viewer_tallies,
     views_per_user,
 )
 
@@ -19,35 +20,42 @@ def table1_rows(datasets: list[BroadcastDataset]) -> dict[str, dict[str, int]]:
 
 def broadcast_length_cdf(dataset: BroadcastDataset) -> Cdf:
     """Figure 3: CDF of broadcast length (seconds)."""
-    return Cdf(np.array([record.duration_s for record in dataset]))
+    return Cdf(dataset.per_broadcast("duration_s"))
 
 
 def viewers_per_broadcast_cdf(dataset: BroadcastDataset) -> Cdf:
     """Figure 4: CDF of total viewers per broadcast."""
-    return Cdf(np.array([record.total_views for record in dataset], dtype=float))
+    return Cdf(dataset.per_broadcast("total_views"))
 
 
 def comments_cdf(dataset: BroadcastDataset) -> Cdf:
     """Figure 5 (comments series)."""
-    return Cdf(np.array([record.comment_count for record in dataset], dtype=float))
+    return Cdf(dataset.per_broadcast("comment_count"))
 
 
 def hearts_cdf(dataset: BroadcastDataset) -> Cdf:
     """Figure 5 (hearts series)."""
-    return Cdf(np.array([record.heart_count for record in dataset], dtype=float))
+    return Cdf(dataset.per_broadcast("heart_count"))
+
+
+def _views_per_active_user(dataset: BroadcastDataset) -> np.ndarray:
+    """Broadcasts viewed by each user who viewed any (in no set order)."""
+    if dataset.columns is not None:
+        return viewer_tallies(dataset.columns)[1]
+    return np.array(list(views_per_user(dataset.records).values()), dtype=np.int64)
 
 
 def views_per_user_cdf(dataset: BroadcastDataset) -> Cdf:
     """Figure 6: broadcasts viewed per (active) user."""
-    counts = views_per_user(dataset.records)
-    if not counts:
+    counts = _views_per_active_user(dataset)
+    if len(counts) == 0:
         raise ValueError("dataset has no views")
-    return Cdf(np.array(list(counts.values()), dtype=float))
+    return Cdf(counts)
 
 
 def creations_per_user_cdf(dataset: BroadcastDataset) -> Cdf:
     """Figure 6: broadcasts created per (active) broadcaster."""
-    counts = creations_per_user(dataset.records)
+    counts = creations_per_user(dataset)
     if not counts:
         raise ValueError("dataset has no broadcasts")
     return Cdf(np.array(list(counts.values()), dtype=float))
@@ -61,7 +69,7 @@ def viewer_activity_skew(dataset: BroadcastDataset, top_fraction: float = 0.15) 
     """
     if not 0 < top_fraction < 1:
         raise ValueError("top_fraction must be in (0, 1)")
-    counts = np.sort(np.array(list(views_per_user(dataset.records).values()), dtype=float))
+    counts = np.sort(_views_per_active_user(dataset).astype(float))
     if len(counts) == 0:
         raise ValueError("dataset has no views")
     median = float(np.median(counts))

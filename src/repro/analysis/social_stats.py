@@ -24,8 +24,8 @@ def table2_rows(
 
 def followers_vs_viewers(dataset: BroadcastDataset) -> tuple[np.ndarray, np.ndarray]:
     """Figure 7's scatter inputs: (followers, viewers) per broadcast."""
-    followers = np.array([record.broadcaster_followers for record in dataset], dtype=float)
-    viewers = np.array([record.total_views for record in dataset], dtype=float)
+    followers = dataset.per_broadcast("broadcaster_followers").astype(float)
+    viewers = dataset.per_broadcast("total_views").astype(float)
     return followers, viewers
 
 

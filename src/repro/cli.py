@@ -102,15 +102,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="on-disk dataset cache for the 'trace' target (keyed by config hash)",
     )
     parser.add_argument(
-        "--cache-format", choices=("v1", "v2", "mmap"), default="v2",
-        help=(
-            "serialization for new 'trace' cache entries: v2 binary "
-            "columnar (default), v1 gzipped JSONL, or mmap uncompressed "
-            "page-aligned columns (opened zero-copy); all store identical "
-            "datasets and every cache reads the others' files"
-        ),
-    )
-    parser.add_argument(
         "--run-dir", type=str, default=None, metavar="DIR",
         help=(
             "checkpoint directory for the 'trace' target: finished shards "
@@ -196,7 +187,6 @@ def _render_trace(args: argparse.Namespace) -> str:
         config,
         cache_dir=args.cache_dir,
         registry=registry,
-        cache_format=args.cache_format,
         run_dir=args.run_dir,
         resume=args.resume,
     )
@@ -230,21 +220,16 @@ def _render_trace(args: argparse.Namespace) -> str:
     if "trace.peak_rss_mb" in gauges:
         lines.append(f"peak RSS        {gauges['trace.peak_rss_mb']['value']:.0f} MB")
     if cache_hit:
-        # A hit may have been served by any format's entry (cross-format
-        # fall-through), so don't claim the requested format here.
         lines.append(
             f"dataset cache   hit ({args.cache_dir}, key {config.cache_key()})"
         )
     elif args.cache_dir:
-        # When the mmap format was requested, the streamed merge writes
-        # the entry directly; other formats go through a normal `put`.
-        if streamed and args.cache_format == "mmap":
-            stored = "mmap (streamed merge)"
-        else:
-            stored = args.cache_format
+        # The streamed merge writes the entry itself; the in-memory
+        # merge (REPRO_TRACE_MERGE=memory) stores it with a `put`.
+        how = "streamed merge" if streamed else "put"
         lines.append(
             f"dataset cache   miss -> stored ({args.cache_dir}, "
-            f"key {config.cache_key()}, format {stored})"
+            f"key {config.cache_key()}, {how})"
         )
     if args.run_dir:
         counters = snapshot["counters"]
@@ -280,8 +265,6 @@ def _resume_invocation(args: argparse.Namespace) -> str:
         parts += ["--app", args.app]
     if args.cache_dir:
         parts += ["--cache-dir", str(args.cache_dir)]
-    if args.cache_format != "v2":
-        parts += ["--cache-format", args.cache_format]
     if args.sanitize:
         parts.append("--sanitize")
     return " ".join(parts)

@@ -28,9 +28,7 @@ from repro.crawler.arrayfile import read_arrays, write_arrays
 from repro.crawler.storage import (
     DatasetCache,
     dataset_from_bytes,
-    dataset_from_columnar_bytes,
     dataset_to_bytes,
-    dataset_to_columnar_bytes,
     load_dataset,
     load_dataset_mapped,
     load_traces,
@@ -58,8 +56,6 @@ __all__ = [
     "DatasetCache",
     "dataset_to_bytes",
     "dataset_from_bytes",
-    "dataset_to_columnar_bytes",
-    "dataset_from_columnar_bytes",
     "save_dataset",
     "load_dataset",
     "save_dataset_mapped",

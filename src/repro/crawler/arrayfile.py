@@ -10,7 +10,7 @@ One tiny on-disk format serves three jobs:
 * returning shard output — workers write their day columns to per-shard
   files and the parent maps them back, so the process boundary costs a
   header parse and page mappings, not a pickle of every column,
-* the uncompressed ``mmap`` dataset-cache format and the follow-graph
+* the dataset-cache column files and the follow-graph
   cache (:mod:`repro.crawler.storage`, :mod:`repro.parallel.generate`),
   which let paper-scale datasets stream from disk instead of living in
   RAM.

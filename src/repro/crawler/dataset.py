@@ -30,6 +30,10 @@ SECONDS_PER_DAY = 86_400.0
 #: has 12M users, far below 2**40; day indexes stay below 2**23.
 _PACK_ID_BITS = 40
 
+#: Viewer entries per window when tallying views per user from columns;
+#: the working set is a few arrays of this length plus the tally itself.
+_TALLY_WINDOW = 1 << 18
+
 
 @dataclass(frozen=True)
 class DowntimeWindow:
@@ -148,6 +152,11 @@ class BroadcastColumns:
     def mobile_views(self) -> np.ndarray:
         """Per-row registered (mobile) view counts."""
         return np.diff(self.viewer_indptr)
+
+    @property
+    def total_views(self) -> np.ndarray:
+        """Per-row mobile plus web view counts."""
+        return self.mobile_views + self.web_views
 
     @classmethod
     def empty(cls, app_name: str) -> "BroadcastColumns":
@@ -382,6 +391,15 @@ class BroadcastDataset:
         """The columnar backend, or ``None`` for record-built datasets."""
         return self._columns
 
+    def per_broadcast(self, field: str) -> np.ndarray:
+        """One value per broadcast, in row order, of a field that is both
+        a :class:`BroadcastRecord` attribute and a :class:`BroadcastColumns`
+        column (or property) — read from the columns when present, without
+        materializing records."""
+        if self._columns is not None:
+            return np.asarray(getattr(self._columns, field))
+        return np.array([getattr(record, field) for record in self.records])
+
     def add(self, record: BroadcastRecord) -> None:
         records = self.records  # materialize before mutating
         records.append(record)
@@ -553,22 +571,50 @@ def merge_datasets(datasets: Sequence[BroadcastDataset]) -> BroadcastDataset:
     return merged
 
 
+def viewer_tallies(columns: BroadcastColumns) -> tuple[np.ndarray, np.ndarray]:
+    """``(user IDs, broadcasts each viewed)`` from columns, ascending by ID.
+
+    A user who appears several times in one broadcast's viewer list
+    counts that broadcast once.  The (row, viewer) pairs are deduplicated
+    inside bounded row windows and tallied into one count array indexed
+    by user ID, so the working set is that array plus one window — never
+    a sort of every view at once.  User IDs must lie in ``[0, 2**40)``;
+    the array costs 8 bytes per ID up to the largest, which suits the
+    dense ``1..total_users`` IDs of generated traces.
+    """
+    viewer_ids = columns.viewer_ids
+    if len(viewer_ids) == 0:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty
+    indptr = columns.viewer_indptr
+    tallies = np.zeros(int(viewer_ids.max()) + 1, dtype=np.int64)
+    # A window at least as long as the tally keeps the per-window
+    # bincount linear in the number of views.
+    window = max(_TALLY_WINDOW, len(tallies))
+    max_rows = 1 << (63 - _PACK_ID_BITS)
+    id_mask = (1 << _PACK_ID_BITS) - 1
+    row, n_rows = 0, len(columns)
+    while row < n_rows:
+        end = int(np.searchsorted(indptr, indptr[row] + window, side="right")) - 1
+        end = min(max(end, row + 1), n_rows, row + max_rows)
+        local_rows = np.repeat(
+            np.arange(end - row, dtype=np.int64), np.diff(indptr[row : end + 1])
+        )
+        pairs = np.unique(
+            (local_rows << _PACK_ID_BITS) | viewer_ids[indptr[row] : indptr[end]]
+        )
+        tallies += np.bincount(pairs & id_mask, minlength=len(tallies))
+        row = end
+    users = np.flatnonzero(tallies)
+    return users, tallies[users]
+
+
 def views_per_user(
     records: Union[BroadcastDataset, Iterable[BroadcastRecord]]
 ) -> dict[int, int]:
     """Number of broadcasts viewed per registered user (Figure 6)."""
     if isinstance(records, BroadcastDataset) and records.columns is not None:
-        cols = records.columns
-        row = np.repeat(
-            np.arange(len(cols), dtype=np.int64), cols.mobile_views
-        )
-        # Dedup (row, viewer) pairs, then tally each viewer's rows.
-        order = np.lexsort((cols.viewer_ids, row))
-        r = row[order]
-        v = cols.viewer_ids[order]
-        distinct = np.ones(len(r), dtype=bool)
-        distinct[1:] = (r[1:] != r[:-1]) | (v[1:] != v[:-1])
-        users, counts = np.unique(v[distinct], return_counts=True)
+        users, counts = viewer_tallies(records.columns)
         return dict(zip(users.tolist(), counts.tolist()))
     counts_by_user: dict[int, int] = {}
     for record in records:

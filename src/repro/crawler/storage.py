@@ -1,16 +1,25 @@
 """Dataset and trace persistence.
 
 The paper released parts of its measurement datasets; this module gives
-the reproduction the same capability: broadcast datasets round-trip
-through gzip-compressed JSONL (one record per line, metadata on the first
-line — the v1 format) or through a binary columnar layout (v2: one JSON
-header line followed by the raw little-endian column arrays), and
-fine-grained delay traces through ``.npz`` bundles.
+the reproduction the same capability.  Broadcast datasets have two
+on-disk forms:
 
-Serialization is byte-deterministic in both formats (the gzip header's
-mtime is pinned to zero and v2 writes fixed-dtype little-endian buffers):
-the same dataset always produces the same bytes, which is what the
-sharded-generation determinism tests and the on-disk
+* the release format (v1): gzip-compressed JSONL, one record per line
+  with metadata on the first line — :func:`save_dataset` /
+  :func:`load_dataset`;
+* the cache format: uncompressed, page-aligned ``repro-arrays`` column
+  files (``.cols``, :data:`COLUMN_LAYOUT` behind a JSON header, CRC-32
+  footer) — :func:`save_dataset_mapped` / :func:`load_dataset_mapped`.
+  The streaming merge (:mod:`repro.parallel.merge`) writes this layout
+  directly, so a generated dataset is serialized exactly once, and
+  :class:`DatasetCache` stores nothing else.
+
+Fine-grained delay traces round-trip through ``.npz`` bundles.
+
+Serialization is byte-deterministic in both dataset formats (the gzip
+header's mtime is pinned to zero and the column file holds fixed-dtype
+little-endian buffers): the same dataset always produces the same bytes,
+which is what the sharded-generation determinism tests and the on-disk
 :class:`DatasetCache` rely on.
 """
 
@@ -21,7 +30,6 @@ import io
 import json
 import os
 import re
-import zlib
 from pathlib import Path
 from typing import Optional, Union
 
@@ -35,12 +43,13 @@ PathLike = Union[str, Path]
 
 _FORMAT_VERSION = 1
 
+#: Column-file layout version, recorded in every entry's metadata.
 _COLUMNS_FORMAT_VERSION = 2
 
-#: Column serialization order and on-disk dtypes shared by the v2 and
-#: ``mmap`` formats (and by the streaming merge, which writes the
-#: ``mmap`` layout shard by shard).  Little-endian is forced so the
-#: bytes are platform-independent.
+#: Column serialization order and on-disk dtypes of the column file
+#: (shared with the streaming merge, which writes the layout shard by
+#: shard).  Little-endian is forced so the bytes are
+#: platform-independent.
 COLUMN_LAYOUT: tuple[tuple[str, str], ...] = (
     ("broadcast_id", "<i8"),
     ("broadcaster_id", "<i8"),
@@ -134,74 +143,6 @@ def dataset_from_bytes(data: bytes, source: str = "<bytes>") -> BroadcastDataset
     return dataset
 
 
-def _column_length(field: str, record_count: int, viewer_count: int) -> int:
-    if field == "viewer_indptr":
-        return record_count + 1
-    if field == "viewer_ids":
-        return viewer_count
-    return record_count
-
-
-def dataset_to_columnar_bytes(dataset: BroadcastDataset) -> bytes:
-    """Serialize a dataset to the deterministic v2 binary columnar format.
-
-    Layout: one JSON header line, then each column of
-    :data:`COLUMN_LAYOUT` as raw little-endian bytes, all gzipped with
-    mtime pinned to 0.  Record-backed datasets are columnarized first;
-    either backend serializes to the identical bytes.
-    """
-    columns = dataset.columns
-    if columns is None:
-        columns = BroadcastColumns.from_records(dataset.app_name, dataset.records)
-    header = {
-        "format_version": _COLUMNS_FORMAT_VERSION,
-        "app_name": dataset.app_name,
-        "days": dataset.days,
-        "record_count": len(columns),
-        "viewer_count": len(columns.viewer_ids),
-    }
-    raw = io.BytesIO()
-    with gzip.GzipFile(filename="", mode="wb", fileobj=raw, mtime=0) as binary:
-        binary.write((json.dumps(header) + "\n").encode("utf-8"))
-        for field, dtype in COLUMN_LAYOUT:
-            binary.write(
-                np.ascontiguousarray(getattr(columns, field), dtype=dtype).tobytes()
-            )
-    return raw.getvalue()
-
-
-def dataset_from_columnar_bytes(data: bytes, source: str = "<bytes>") -> BroadcastDataset:
-    """Inverse of :func:`dataset_to_columnar_bytes`."""
-    payload = gzip.decompress(data)
-    newline = payload.find(b"\n")
-    if newline < 0:
-        raise ValueError(f"{source}: empty dataset file")
-    header = json.loads(payload[:newline])
-    version = header.get("format_version")
-    if version != _COLUMNS_FORMAT_VERSION:
-        raise ValueError(f"{source}: unsupported format version {version}")
-    record_count = int(header["record_count"])
-    viewer_count = int(header["viewer_count"])
-
-    offset = newline + 1
-    arrays: dict[str, np.ndarray] = {}
-    for field, dtype_str in COLUMN_LAYOUT:
-        dtype = np.dtype(dtype_str)
-        nbytes = _column_length(field, record_count, viewer_count) * dtype.itemsize
-        if offset + nbytes > len(payload):
-            raise ValueError(f"{source}: truncated dataset (column {field!r})")
-        arrays[field] = np.frombuffer(
-            payload, dtype=dtype, count=nbytes // dtype.itemsize, offset=offset
-        ).copy()
-        offset += nbytes
-    if offset != len(payload):
-        raise ValueError(f"{source}: trailing bytes after columns")
-    columns = BroadcastColumns(app_name=header["app_name"], **arrays)
-    return BroadcastDataset.from_columns(
-        app_name=header["app_name"], days=header["days"], columns=columns
-    )
-
-
 def save_dataset(dataset: BroadcastDataset, path: PathLike) -> None:
     """Write a dataset as gzip JSONL: header line, then one record/line."""
     Path(path).write_bytes(dataset_to_bytes(dataset))
@@ -220,7 +161,7 @@ _MAPPED_FORMAT = "broadcast-dataset"
 def mapped_dataset_meta(
     app_name: str, days: int, record_count: int, viewer_count: int
 ) -> dict:
-    """The ``mmap``-format header metadata for a dataset of these counts.
+    """The column-file header metadata for a dataset of these counts.
 
     Shared between :func:`save_dataset_mapped` and the streaming merge
     (:mod:`repro.parallel.merge`) so a streamed file carries exactly the
@@ -240,12 +181,11 @@ def mapped_dataset_meta(
 def save_dataset_mapped(dataset: BroadcastDataset, path: PathLike) -> None:
     """Write a dataset as an uncompressed, memory-mappable column file.
 
-    Same logical schema as v2 (:data:`COLUMN_LAYOUT`), but raw
-    page-aligned little-endian columns behind a JSON header line instead
-    of a gzip stream — :func:`load_dataset_mapped` opens it zero-copy
-    with ``np.memmap``, so a paper-scale dataset streams from the page
-    cache instead of being inflated into RAM.  Deterministic bytes, like
-    the other formats.
+    Raw page-aligned little-endian columns (:data:`COLUMN_LAYOUT`)
+    behind a JSON header line — :func:`load_dataset_mapped` opens it
+    zero-copy with ``np.memmap``, so a paper-scale dataset streams from
+    the page cache instead of being inflated into RAM.  Deterministic
+    bytes, like the release format.
     """
     columns = dataset.columns
     if columns is None:
@@ -264,9 +204,11 @@ def load_dataset_mapped(path: PathLike) -> BroadcastDataset:
     """Open a :func:`save_dataset_mapped` file as a mapped-column dataset.
 
     The returned dataset's columns are read-only ``np.memmap`` views; on
-    POSIX they stay valid even if the file is unlinked afterwards.
+    POSIX they stay valid even if the file is unlinked afterwards.  Every
+    column's CRC-32 is checked against the file's footer first, so a
+    bit-flipped file raises ``ValueError`` instead of being served.
     """
-    arrays, meta = read_arrays(path)
+    arrays, meta = read_arrays(path, verify=True)
     if meta.get("format") != _MAPPED_FORMAT:
         raise ValueError(f"{path}: not a mapped broadcast dataset")
     version = meta.get("format_version")
@@ -284,30 +226,6 @@ def load_dataset_mapped(path: PathLike) -> BroadcastDataset:
         app_name=meta["app_name"], days=meta["days"], columns=columns
     )
 
-
-def _save_v1(dataset: BroadcastDataset, path: Path) -> None:
-    path.write_bytes(dataset_to_bytes(dataset))
-
-
-def _load_v1(path: Path) -> BroadcastDataset:
-    return dataset_from_bytes(path.read_bytes(), source=str(path))
-
-
-def _save_v2(dataset: BroadcastDataset, path: Path) -> None:
-    path.write_bytes(dataset_to_columnar_bytes(dataset))
-
-
-def _load_v2(path: Path) -> BroadcastDataset:
-    return dataset_from_columnar_bytes(path.read_bytes(), source=str(path))
-
-
-#: Cache serialization formats: file suffix, writer(dataset, path),
-#: reader(path).  ``mmap`` entries are opened zero-copy via ``np.memmap``.
-_CACHE_FORMATS = {
-    "v1": (".jsonl.gz", _save_v1, _load_v1),
-    "v2": (".cols.gz", _save_v2, _load_v2),
-    "mmap": (".cols", save_dataset_mapped, load_dataset_mapped),
-}
 
 #: Stale atomic-write temp files: ``<entry name>.tmp<pid>``.
 _TEMP_RE = re.compile(r"\.tmp(\d+)$")
@@ -348,29 +266,22 @@ class DatasetCache:
     Keys come from :meth:`repro.workload.trace.TraceConfig.cache_key` — a
     hash of everything that determines the generated data (and nothing
     that does not, like worker counts) — so figure experiments across
-    processes reuse one generation.  Writes are atomic (temp file +
-    ``os.replace``) so a crashed run never leaves a truncated entry that
-    a later run would trip over; temp files orphaned by a killed writer
-    are swept on cache construction (only when their recorded pid is no
-    longer alive, so concurrent writers are never disturbed).
+    processes reuse one generation.  An entry is one
+    :func:`save_dataset_mapped` column file, ``trace-<key>.cols``, opened
+    zero-copy on a hit.  Writes are atomic (temp file + ``os.replace``)
+    so a crashed run never leaves a truncated entry that a later run
+    would trip over; temp files orphaned by a killed writer are swept on
+    cache construction (only when their recorded pid is no longer alive,
+    so concurrent writers are never disturbed).
 
-    ``fmt`` picks the serialization for new entries: ``"v2"`` (default)
-    is the binary columnar format, ``"v1"`` gzipped JSONL, ``"mmap"``
-    uncompressed page-aligned columns opened zero-copy with
-    ``np.memmap``.  Every cache reads entries any format wrote: on a
-    miss (or a corrupt entry) in its own format, ``get`` falls through
-    to the other formats' files.  An entry whose embedded format version
-    does not match its reader is treated as a miss and removed, like any
-    other corrupt entry.
+    Entries left by retired cache formats (gzipped columns or gzipped
+    JSONL under the same ``trace-<key>`` stem) are neither read nor
+    removed: their key misses, and the dataset is regenerated into a
+    ``.cols`` entry.
     """
 
-    def __init__(self, root: PathLike, fmt: str = "v2") -> None:
-        if fmt not in _CACHE_FORMATS:
-            raise ValueError(
-                f"unknown cache format {fmt!r}; expected one of {sorted(_CACHE_FORMATS)}"
-            )
+    def __init__(self, root: PathLike) -> None:
         self.root = Path(root)
-        self.fmt = fmt
         self.root.mkdir(parents=True, exist_ok=True)
         self._sweep_stale_temps()
 
@@ -378,40 +289,27 @@ class DatasetCache:
         """Remove atomic-write leftovers whose writer process is gone."""
         sweep_stale_temps(self.root, "trace-*.tmp*")
 
-    def path_for(self, key: str, fmt: Optional[str] = None) -> Path:
+    def path_for(self, key: str) -> Path:
         if not _CACHE_KEY_RE.match(key):
             raise ValueError(f"invalid cache key {key!r}")
-        suffix, _, _ = _CACHE_FORMATS[fmt or self.fmt]
-        return self.root / f"trace-{key}{suffix}"
-
-    def _formats_for(self, key: str):
-        """(fmt, path) probe order: own format first, then the others."""
-        for fmt in dict.fromkeys((self.fmt, *sorted(_CACHE_FORMATS))):
-            yield fmt, self.path_for(key, fmt)
+        return self.root / f"trace-{key}.cols"
 
     def get(self, key: str) -> Optional[BroadcastDataset]:
         """The cached dataset for ``key``, or ``None`` on a miss.
 
-        A corrupt entry is treated as a miss and removed — and the probe
-        *falls through* to the other formats' files, so a corrupt entry
-        in the preferred format never masks a valid one in a fallback
-        format.  Corruption covers a truncated gzip stream (``EOFError``
-        — e.g. a file cut mid-byte by a non-atomic writer or a full
-        disk), corrupted deflate data (``zlib.error``), a bad gzip header
-        (``gzip.BadGzipFile``, an ``OSError``), malformed or incomplete
-        payloads (``ValueError``/``KeyError``), and a format version the
-        reader does not understand.
+        A corrupt entry is treated as a miss and removed.  Corruption
+        covers truncation or trailing bytes, a column whose CRC-32 does
+        not match the footer, a malformed header, footer or metadata,
+        and a format version the reader does not understand.
         """
-        for fmt, path in self._formats_for(key):
-            if not path.exists():
-                continue
-            _, _, load = _CACHE_FORMATS[fmt]
-            try:
-                return load(path)
-            except (ValueError, OSError, EOFError, zlib.error, KeyError):
-                path.unlink(missing_ok=True)
-                continue
-        return None
+        path = self.path_for(key)
+        if not path.exists():
+            return None
+        try:
+            return load_dataset_mapped(path)
+        except (ValueError, OSError, KeyError):
+            path.unlink(missing_ok=True)
+            return None
 
     def put(self, key: str, dataset: BroadcastDataset) -> Path:
         """Store ``dataset`` under ``key``; returns the entry's path.
@@ -420,16 +318,15 @@ class DatasetCache:
         serialization fails mid-write.
         """
         path = self.path_for(key)
-        _, save, _ = _CACHE_FORMATS[self.fmt]
         with atomic_output(path) as temp:
-            save(dataset, temp)
+            save_dataset_mapped(dataset, temp)
         return path
 
     def __contains__(self, key: str) -> bool:
         """True only for keys :meth:`get` would actually return.
 
-        Aligned with ``get`` semantics — the entry is fully loaded (and a
-        corrupt file removed) rather than merely stat'ed, so callers can
+        Aligned with ``get`` semantics — the entry is fully verified (and
+        a corrupt file removed) rather than merely stat'ed, so callers can
         never skip regeneration on a poisoned key.  Use
         :meth:`path_for(...).exists() <path_for>` for a cheap
         existence-only probe.

@@ -36,7 +36,7 @@ module fans generation out over a :class:`~concurrent.futures.ProcessPoolExecuto
   default whenever shard files already exist on disk (``run_dir`` or a
   dataset cache), *out of core*: the streaming merge
   (:mod:`repro.parallel.merge`) copies shard files straight into the
-  final ``mmap`` cache format in bounded windows, so peak RSS never
+  final cache column file in bounded windows, so peak RSS never
   holds the whole dataset.  Both merges produce byte-identical files
   (test-enforced); ``REPRO_TRACE_MERGE`` overrides the choice,
 * an optional on-disk cache (:class:`repro.crawler.storage.DatasetCache`,
@@ -557,7 +557,7 @@ def generate_dataset(
     out-of-core merge whenever shard files exist on disk anyway
     (``run_dir`` or ``merge_path`` given), in-memory otherwise — either
     way the dataset bytes are identical.  ``merge_path`` names where the
-    streamed merge publishes its ``mmap``-format file (this is how
+    streamed merge publishes its column file (this is how
     :func:`generate_trace` streams straight into the dataset-cache
     entry); default is ``<run_dir>/merged.cols``, or a scratch file when
     neither is given.
@@ -841,7 +841,6 @@ def generate_trace(
     config: TraceConfig,
     cache_dir: Optional[Union[str, Path]] = None,
     registry=NULL_REGISTRY,
-    cache_format: str = "v2",
     run_dir: Optional[Union[str, Path]] = None,
     resume: bool = True,
     merge: Optional[str] = None,
@@ -854,10 +853,7 @@ def generate_trace(
     pools (their substream is independent of the graph's), and the
     follow graph becomes a lazy attribute — built, or attached from the
     graph cache, only if an analysis actually touches ``trace.graph``.
-    Only on a miss does the full precompute run.  ``cache_format`` picks
-    the cache serialization (``"v2"`` binary columnar, ``"v1"`` gzipped
-    JSONL, ``"mmap"`` uncompressed mappable columns); all store the
-    identical dataset.
+    Only on a miss does the full precompute run.
 
     ``run_dir`` / ``resume`` enable shard checkpointing — see
     :func:`generate_dataset` and :mod:`repro.parallel.checkpoint`.
@@ -865,13 +861,11 @@ def generate_trace(
     ``merge`` picks the shard-merge strategy (:data:`MERGES`, env
     override ``REPRO_TRACE_MERGE``); ``None`` defaults to the streaming
     out-of-core merge whenever a ``cache_dir`` or ``run_dir`` is given.
-    When the merge streams *and* the cache's format is ``mmap``, the
-    merged file is published directly as the cache entry (atomically,
-    under the same temp-name discipline the cache sweeps) — the
-    post-merge ``cache.put`` copy is skipped entirely, so the dataset is
-    serialized exactly once.  Other cache formats are an explicit
-    compression choice, so the streamed merge file stays local and
-    ``put`` stores the requested format as usual.
+    When the merge streams into a cache, the merged file is published
+    directly as the cache entry (atomically, under the same temp-name
+    discipline the cache sweeps) — there is no post-merge ``cache.put``
+    copy, so the dataset is serialized exactly once.  Only the in-memory
+    merge stores its result with ``put``.
     """
     validate_environment()
 
@@ -881,7 +875,7 @@ def generate_trace(
         # Imported here: storage has no dependency on this module.
         from repro.crawler.storage import DatasetCache
 
-        cache = DatasetCache(cache_dir, fmt=cache_format)
+        cache = DatasetCache(cache_dir)
         dataset = cache.get(config.cache_key())
 
     if dataset is not None:
@@ -919,15 +913,12 @@ def generate_trace(
         default="stream" if (cache_dir is not None or run_dir is not None) else "memory",
     )
     merge_path = None
-    if merge == "stream" and cache is not None and cache.fmt == "mmap":
+    if merge == "stream" and cache is not None:
         # Stream the merge straight into the cache entry — the streamed
-        # output IS the mmap format.  ArrayFileWriter stages the file as
+        # output IS the cache format.  ArrayFileWriter stages the file as
         # `trace-<key>.cols.tmp<pid>`, which matches the cache's stale
         # temp sweep, and publishes with the same os.replace the cache
-        # itself uses — the entry appears whole or not at all.  Other
-        # cache formats are compression choices the user made explicitly,
-        # so there the streamed merge file stays in the run dir (or
-        # scratch) and `put` serializes the requested format as before.
+        # itself uses — the entry appears whole or not at all.
         merge_path = cache.path_for(config.cache_key())
 
     dataset = generate_dataset(

@@ -1,5 +1,5 @@
 """Out-of-core streaming merge: shard files flow straight into the
-``mmap`` cache format.
+dataset-cache column file.
 
 The in-memory merge (:func:`repro.workload.trace.assemble_dataset_columns`)
 is the one phase where every shard's columns coexist in RAM — at the
@@ -117,7 +117,7 @@ def stream_merge_shards(
     out_path: PathLike,
     verify_order: bool = True,
 ) -> BroadcastDataset:
-    """Merge shard files into one ``mmap``-format dataset file, out of core.
+    """Merge shard files into one dataset column file, out of core.
 
     ``shard_paths`` must be the run's shard files in shard (= day) order —
     checkpointed ``shard-NNNNN.arrays`` files or their transport

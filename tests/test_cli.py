@@ -90,19 +90,6 @@ class TestTraceTarget:
         for phase in ("graph", "context", "generate", "merge"):
             assert f"phase {phase}" in out
 
-    def test_trace_cache_format_v1(self, tmp_path, capsys):
-        args = [
-            "trace", "--scale", "0.0001", "--seed", "4",
-            "--cache-dir", str(tmp_path), "--cache-format", "v1",
-        ]
-        assert main(args) == 0
-        assert "format v1" in capsys.readouterr().out
-        assert list(tmp_path.glob("*.jsonl.gz"))
-        assert not list(tmp_path.glob("*.cols.gz"))
-        # The v2 default reads the v1 entry as a hit.
-        assert main(args[:-2]) == 0
-        assert "hit" in capsys.readouterr().out
-
     def test_trace_meerkat_app(self, capsys):
         assert main(["trace", "--app", "meerkat", "--scale", "0.001", "--seed", "4"]) == 0
         assert "Meerkat trace" in capsys.readouterr().out

@@ -12,19 +12,22 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import repro.crawler.dataset as dataset_module
+from repro.analysis import broadcast_stats
+from repro.analysis.social_stats import followers_vs_viewers
 from repro.crawler.dataset import (
     BroadcastColumns,
     BroadcastDataset,
     creations_per_user,
     merge_datasets,
+    viewer_tallies,
     views_per_user,
 )
 from repro.crawler.storage import (
-    DatasetCache,
     dataset_from_bytes,
-    dataset_from_columnar_bytes,
     dataset_to_bytes,
-    dataset_to_columnar_bytes,
+    load_dataset_mapped,
+    save_dataset_mapped,
 )
 from repro.parallel import generate_trace
 from repro.workload.trace import TraceConfig, build_trace_context, generate_day_columns
@@ -104,34 +107,140 @@ class TestColumnsRoundTrip:
 
 
 class TestCacheFormatEquivalence:
-    @pytest.mark.parametrize("workers", [1, 2, 4])
-    @pytest.mark.parametrize("fmt", ["v1", "v2"])
-    def test_cached_trace_bytes_identical(self, tmp_path, workers, fmt):
-        """Cache files are byte-identical across worker counts per format."""
-        config = TraceConfig.periscope(scale=SCALE, seed=SEED, workers=workers)
-        cache_dir = tmp_path / f"{fmt}-w{workers}"
-        generate_trace(config, cache_dir=cache_dir, cache_format=fmt)
-        path = DatasetCache(cache_dir, fmt=fmt).path_for(config.cache_key())
-        baseline_dir = tmp_path / f"{fmt}-baseline"
-        baseline_config = TraceConfig.periscope(scale=SCALE, seed=SEED, workers=1)
-        generate_trace(baseline_config, cache_dir=baseline_dir, cache_format=fmt)
-        baseline = DatasetCache(baseline_dir, fmt=fmt).path_for(config.cache_key())
-        assert path.read_bytes() == baseline.read_bytes()
-
-    def test_formats_store_identical_dataset(self, columnar_dataset):
+    def test_formats_store_identical_dataset(self, columnar_dataset, tmp_path):
+        """The release format and the cache column file hold the same data."""
         via_v1 = dataset_from_bytes(dataset_to_bytes(columnar_dataset))
-        via_v2 = dataset_from_columnar_bytes(dataset_to_columnar_bytes(columnar_dataset))
-        assert dataset_to_bytes(via_v1) == dataset_to_bytes(via_v2)
-        assert via_v1.table1_row() == via_v2.table1_row()
+        path = tmp_path / "d.cols"
+        save_dataset_mapped(columnar_dataset, path)
+        via_cols = load_dataset_mapped(path)
+        assert dataset_to_bytes(via_v1) == dataset_to_bytes(via_cols)
+        assert via_v1.table1_row() == via_cols.table1_row()
 
-    def test_v2_serialization_deterministic(self, columnar_dataset):
-        first = dataset_to_columnar_bytes(columnar_dataset)
-        second = dataset_to_columnar_bytes(columnar_dataset)
-        assert first == second
+    def test_column_file_identical_across_backends(self, columnar_dataset, tmp_path):
+        first, second, records = (tmp_path / n for n in ("a.cols", "b.cols", "r.cols"))
+        save_dataset_mapped(columnar_dataset, first)
+        save_dataset_mapped(columnar_dataset, second)
+        assert first.read_bytes() == second.read_bytes()
         # Record-backed serialization of the same data is also identical.
         record_dataset = BroadcastDataset(
             columnar_dataset.app_name,
             columnar_dataset.days,
             records=list(columnar_dataset.records),
         )
-        assert dataset_to_columnar_bytes(record_dataset) == first
+        save_dataset_mapped(record_dataset, records)
+        assert records.read_bytes() == first.read_bytes()
+
+
+def _random_columns(seed: int, n_rows: int = 300, n_users: int = 40) -> BroadcastColumns:
+    """Seeded columns drawn from a small user pool, so most viewer lists
+    repeat a user within the row, plus some empty rows."""
+    rng = np.random.default_rng(seed)
+    sizes = rng.integers(0, 12, n_rows)
+    indptr = np.zeros(n_rows + 1, dtype=np.int64)
+    np.cumsum(sizes, out=indptr[1:])
+
+    def counts():
+        return rng.integers(0, 50, n_rows)
+
+    return BroadcastColumns(
+        app_name="Periscope",
+        broadcast_id=np.arange(1, n_rows + 1),
+        broadcaster_id=rng.integers(1, n_users, n_rows),
+        start_time=np.sort(rng.uniform(0, 86_400 * 5, n_rows)),
+        duration_s=rng.exponential(300.0, n_rows),
+        web_views=counts(),
+        heart_count=counts(),
+        comment_count=counts(),
+        commenter_count=counts(),
+        is_private=rng.random(n_rows) < 0.1,
+        broadcaster_followers=counts(),
+        viewer_indptr=indptr,
+        viewer_ids=rng.integers(1, n_users, int(indptr[-1])),
+    )
+
+
+def _generated_columns(seed: int) -> BroadcastColumns:
+    return generate_trace(TraceConfig.periscope(scale=SCALE, seed=seed)).dataset.columns
+
+
+ANALYSIS_SOURCES = {
+    "generated-17": lambda: _generated_columns(17),
+    "generated-18": lambda: _generated_columns(18),
+    "duplicates-1": lambda: _random_columns(1),
+    "duplicates-2": lambda: _random_columns(2),
+}
+
+ANALYSIS_CDFS = (
+    "broadcast_length_cdf",
+    "viewers_per_broadcast_cdf",
+    "comments_cdf",
+    "hearts_cdf",
+    "views_per_user_cdf",
+    "creations_per_user_cdf",
+)
+
+
+@pytest.fixture(scope="module", params=sorted(ANALYSIS_SOURCES))
+def backend_pair(request) -> tuple[BroadcastDataset, BroadcastDataset]:
+    """(columnar, record-backed) datasets holding the same rows."""
+    columns = ANALYSIS_SOURCES[request.param]()
+    columnar = BroadcastDataset.from_columns(columns.app_name, 5, columns)
+    records = BroadcastDataset(columns.app_name, 5, records=columns.to_records())
+    return columnar, records
+
+
+class TestAnalysisEquivalence:
+    """The Fig 3-7 analyses read columns directly; the record path is the
+    oracle and every value must match exactly, not approximately."""
+
+    def test_duplicate_viewers_in_play(self):
+        columns = _random_columns(1)
+        indptr = columns.viewer_indptr
+        assert any(
+            len(np.unique(columns.viewer_ids[lo:hi])) < hi - lo
+            for lo, hi in zip(indptr[:-1], indptr[1:])
+        )
+
+    @pytest.mark.parametrize("name", ANALYSIS_CDFS)
+    def test_cdf_values_identical(self, backend_pair, name):
+        columnar, records = backend_pair
+        analysis = getattr(broadcast_stats, name)
+        assert np.array_equal(analysis(columnar).values, analysis(records).values)
+
+    def test_activity_skew_identical(self, backend_pair):
+        columnar, records = backend_pair
+        assert broadcast_stats.viewer_activity_skew(
+            columnar
+        ) == broadcast_stats.viewer_activity_skew(records)
+
+    def test_fig7_inputs_identical(self, backend_pair):
+        columnar, records = backend_pair
+        for col, rec in zip(followers_vs_viewers(columnar), followers_vs_viewers(records)):
+            assert col.dtype == rec.dtype
+            assert np.array_equal(col, rec)
+
+    def test_columnar_analyses_leave_records_unbuilt(self, backend_pair):
+        columnar, _ = backend_pair
+        for name in ANALYSIS_CDFS:
+            getattr(broadcast_stats, name)(columnar)
+        broadcast_stats.viewer_activity_skew(columnar)
+        followers_vs_viewers(columnar)
+        assert columnar._records is None
+
+    def test_viewer_tallies_match_record_oracle(self, backend_pair):
+        columnar, records = backend_pair
+        users, counts = viewer_tallies(columnar.columns)
+        assert np.all(np.diff(users) > 0)
+        assert dict(zip(users.tolist(), counts.tolist())) == views_per_user(records.records)
+
+    def test_rows_longer_than_a_window(self, monkeypatch):
+        """A row with more views than one window still dedups as a whole,
+        and a window never splits a row."""
+        monkeypatch.setattr(dataset_module, "_TALLY_WINDOW", 1)
+        columns = _random_columns(3, n_rows=20, n_users=6)
+        columns.viewer_indptr = np.arange(0, 2001, 100, dtype=np.int64)
+        columns.viewer_ids = np.random.default_rng(3).integers(0, 6, 2000)
+        records = columns.to_records()
+        users, counts = viewer_tallies(columns)
+        assert dict(zip(users.tolist(), counts.tolist())) == views_per_user(records)
+        assert counts.max() <= 20

@@ -4,20 +4,20 @@ from __future__ import annotations
 
 import dataclasses
 import gzip
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
 from repro.core.pipeline import DelayMeasurementCampaign
-from repro.crawler.arrayfile import read_arrays, write_arrays
+import repro.crawler.storage as storage
+from repro.crawler.arrayfile import read_array_index, read_arrays, write_arrays
 from repro.crawler.storage import (
-    _CACHE_FORMATS,
+    COLUMN_LAYOUT,
     DatasetCache,
     dataset_from_bytes,
-    dataset_from_columnar_bytes,
     dataset_to_bytes,
-    dataset_to_columnar_bytes,
     load_dataset,
     load_dataset_mapped,
     load_traces,
@@ -25,6 +25,7 @@ from repro.crawler.storage import (
     save_dataset_mapped,
     save_traces,
 )
+from repro.parallel import generate_trace
 from repro.workload.trace import TraceConfig, TraceGenerator
 
 
@@ -109,6 +110,26 @@ class TestDeterministicBytes:
         )
 
 
+def _flip_byte(path, column: str) -> None:
+    """Flip one byte in the middle of ``column``'s block; the file keeps
+    its size and structure, so only the CRC-32 footer can convict it."""
+    entries, _meta = read_array_index(path)
+    entry = entries[column]
+    assert entry.nbytes > 0, f"{column} is empty; nothing to corrupt"
+    with path.open("r+b") as handle:
+        handle.seek(entry.offset + entry.nbytes // 2)
+        byte = handle.read(1)
+        handle.seek(-1, 1)
+        handle.write(bytes([byte[0] ^ 0xFF]))
+
+
+def _column_sha256(dataset) -> str:
+    digest = hashlib.sha256()
+    for field, dtype in COLUMN_LAYOUT:
+        digest.update(np.ascontiguousarray(getattr(dataset.columns, field), dtype=dtype))
+    return digest.hexdigest()
+
+
 class TestDatasetCache:
     def test_miss_then_hit(self, small_dataset, tmp_path):
         cache = DatasetCache(tmp_path / "cache")
@@ -127,12 +148,12 @@ class TestDatasetCache:
     def test_corrupt_entry_treated_as_miss_and_removed(self, small_dataset, tmp_path):
         cache = DatasetCache(tmp_path)
         cache.put("key", small_dataset)
-        cache.path_for("key").write_bytes(b"not gzip at all")
+        cache.path_for("key").write_bytes(b"not a column file at all")
         assert cache.get("key") is None
         assert not cache.path_for("key").exists()
 
-    def test_truncated_gzip_entry_treated_as_miss(self, small_dataset, tmp_path):
-        """A file cut mid-byte (EOFError, not OSError) must be a miss, not a crash."""
+    def test_truncated_entry_treated_as_miss(self, small_dataset, tmp_path):
+        """A file cut mid-column must be a miss, not a crash."""
         cache = DatasetCache(tmp_path)
         path = cache.put("key", small_dataset)
         data = path.read_bytes()
@@ -145,13 +166,35 @@ class TestDatasetCache:
         cache = DatasetCache(tmp_path)
         path = cache.put("key", small_dataset)
         intact = path.read_bytes()
-        path.write_bytes(intact[:-7])  # clip the gzip trailer mid-byte
+        path.write_bytes(intact[:-7])  # clip the checksum footer mid-line
         assert cache.get("key") is None
         cache.put("key", small_dataset)
         assert path.read_bytes() == intact
         restored = cache.get("key")
         assert restored is not None
         assert restored.table1_row() == small_dataset.table1_row()
+
+    def test_bit_flipped_entry_is_a_miss(self, small_dataset, tmp_path):
+        """Every read verifies the CRC-32 footer: a flipped byte inside a
+        column is a miss and the entry is removed, never served."""
+        cache = DatasetCache(tmp_path)
+        path = cache.put("key", small_dataset)
+        _flip_byte(path, "viewer_ids")
+        assert cache.get("key") is None
+        assert not path.exists()
+
+    def test_bit_flipped_trace_entry_regenerated_identically(self, tmp_path):
+        config = TraceConfig.periscope(scale=0.00003, seed=6)
+        fresh = generate_trace(config, cache_dir=tmp_path).dataset
+        expected = _column_sha256(fresh)
+        cache = DatasetCache(tmp_path)
+        path = cache.path_for(config.cache_key())
+        _flip_byte(path, "viewer_ids")
+        assert cache.get(config.cache_key()) is None
+        assert not path.exists()
+        regenerated = generate_trace(config, cache_dir=tmp_path).dataset
+        assert _column_sha256(regenerated) == expected
+        assert _column_sha256(cache.get(config.cache_key())) == expected
 
     def test_invalid_key_rejected(self, tmp_path):
         cache = DatasetCache(tmp_path)
@@ -167,77 +210,73 @@ class TestDatasetCache:
 
 
 class TestColumnarStorage:
-    def test_round_trip_preserves_everything(self, small_dataset):
-        restored = dataset_from_columnar_bytes(dataset_to_columnar_bytes(small_dataset))
+    """The column file (``save_dataset_mapped``) as a standalone format."""
+
+    def test_round_trip_preserves_everything(self, small_dataset, tmp_path):
+        path = tmp_path / "dataset.cols"
+        save_dataset_mapped(small_dataset, path)
+        restored = load_dataset_mapped(path)
         assert restored.app_name == small_dataset.app_name
         assert restored.days == small_dataset.days
         assert restored.table1_row() == small_dataset.table1_row()
         # Full fidelity: re-serializing through v1 gives identical bytes.
         assert dataset_to_bytes(restored) == dataset_to_bytes(small_dataset)
 
-    def test_serialization_is_byte_deterministic(self, small_dataset):
-        assert dataset_to_columnar_bytes(small_dataset) == dataset_to_columnar_bytes(
-            small_dataset
-        )
+    def test_serialization_is_byte_deterministic(self, small_dataset, tmp_path):
+        first, second = tmp_path / "a.cols", tmp_path / "b.cols"
+        save_dataset_mapped(small_dataset, first)
+        save_dataset_mapped(small_dataset, second)
+        assert first.read_bytes() == second.read_bytes()
 
-    def test_header_is_json_line(self, small_dataset):
-        payload = gzip.decompress(dataset_to_columnar_bytes(small_dataset))
+    def test_header_is_json_line(self, small_dataset, tmp_path):
+        path = tmp_path / "dataset.cols"
+        save_dataset_mapped(small_dataset, path)
+        payload = path.read_bytes()
         header = json.loads(payload[: payload.find(b"\n")])
-        assert header["format_version"] == 2
-        assert header["record_count"] == len(small_dataset)
+        assert header["format"] == "repro-arrays"
+        assert header["meta"]["format_version"] == 2
+        assert header["meta"]["record_count"] == len(small_dataset)
 
-    def test_truncated_columns_detected(self, small_dataset):
-        payload = gzip.decompress(dataset_to_columnar_bytes(small_dataset))
-        clipped = gzip.compress(payload[:-16])
+    def test_truncated_columns_detected(self, small_dataset, tmp_path):
+        path = tmp_path / "dataset.cols"
+        save_dataset_mapped(small_dataset, path)
+        path.write_bytes(path.read_bytes()[:-16])
         with pytest.raises(ValueError, match="truncated"):
-            dataset_from_columnar_bytes(clipped)
+            load_dataset_mapped(path)
 
-    def test_trailing_bytes_detected(self, small_dataset):
-        payload = gzip.decompress(dataset_to_columnar_bytes(small_dataset))
-        padded = gzip.compress(payload + b"\x00" * 8)
+    def test_trailing_bytes_detected(self, small_dataset, tmp_path):
+        path = tmp_path / "dataset.cols"
+        save_dataset_mapped(small_dataset, path)
+        path.write_bytes(path.read_bytes() + b"\x00" * 8)
         with pytest.raises(ValueError, match="trailing"):
-            dataset_from_columnar_bytes(padded)
+            load_dataset_mapped(path)
 
-    def test_bad_version_detected(self, small_dataset):
-        payload = gzip.decompress(dataset_to_columnar_bytes(small_dataset))
-        newline = payload.find(b"\n")
-        header = json.loads(payload[:newline])
-        header["format_version"] = 99
-        doctored = gzip.compress(json.dumps(header).encode() + payload[newline:])
+    def test_bad_version_detected(self, small_dataset, tmp_path):
+        path = tmp_path / "dataset.cols"
+        save_dataset_mapped(small_dataset, path)
+        arrays, meta = read_arrays(path)
+        write_arrays(path, dict(arrays), meta={**meta, "format_version": 99})
         with pytest.raises(ValueError, match="version"):
-            dataset_from_columnar_bytes(doctored)
+            load_dataset_mapped(path)
 
-    def test_empty_payload_detected(self):
-        with pytest.raises(ValueError, match="empty"):
-            dataset_from_columnar_bytes(gzip.compress(b"no newline here"))
+    def test_empty_payload_detected(self, tmp_path):
+        path = tmp_path / "dataset.cols"
+        path.write_bytes(b"no newline here")
+        with pytest.raises(ValueError, match="truncated array-file header"):
+            load_dataset_mapped(path)
 
 
 class TestCacheFormats:
-    def test_default_format_is_v2(self, small_dataset, tmp_path):
+    def test_entry_is_a_column_file(self, small_dataset, tmp_path):
         cache = DatasetCache(tmp_path)
         path = cache.put("key", small_dataset)
-        assert path.name.endswith(".cols.gz")
+        assert path.name == "trace-key.cols"
+        restored = load_dataset_mapped(path)
+        assert dataset_to_bytes(restored) == dataset_to_bytes(small_dataset)
 
-    def test_unknown_format_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="cache format"):
-            DatasetCache(tmp_path, fmt="v3")
-
-    @pytest.mark.parametrize(
-        "writer,reader",
-        [(w, r) for w in sorted(_CACHE_FORMATS) for r in sorted(_CACHE_FORMATS) if w != r],
-    )
-    def test_cross_format_entries_readable(self, small_dataset, tmp_path, writer, reader):
-        """A cache in any format reads entries every other format wrote."""
-        DatasetCache(tmp_path, fmt=writer).put("key", small_dataset)
-        hit = DatasetCache(tmp_path, fmt=reader).get("key")
-        assert hit is not None
-        assert dataset_to_bytes(hit) == dataset_to_bytes(small_dataset)
-        assert "key" in DatasetCache(tmp_path, fmt=reader)
-
-    @pytest.mark.parametrize("fmt", sorted(_CACHE_FORMATS))
-    def test_corrupt_entry_recovered_in_every_format(self, small_dataset, tmp_path, fmt):
-        """Garbage in any format is a miss, removed, and re-puttable."""
-        cache = DatasetCache(tmp_path / fmt, fmt=fmt)
+    def test_corrupt_entry_recovered(self, small_dataset, tmp_path):
+        """Garbage is a miss, removed, and re-puttable."""
+        cache = DatasetCache(tmp_path)
         path = cache.put("key", small_dataset)
         path.write_bytes(b"\x00garbage\x00" * 3)
         assert cache.get("key") is None
@@ -247,40 +286,29 @@ class TestCacheFormats:
         assert hit is not None
         assert dataset_to_bytes(hit) == dataset_to_bytes(small_dataset)
 
-    def test_corrupt_preferred_format_falls_through_to_valid_fallback(
-        self, small_dataset, tmp_path
-    ):
-        """Regression: a corrupt v2 entry must not mask a valid v1 entry."""
-        DatasetCache(tmp_path, fmt="v1").put("key", small_dataset)
-        v2_cache = DatasetCache(tmp_path, fmt="v2")
-        v2_path = v2_cache.put("key", small_dataset)
-        v2_path.write_bytes(b"not gzip at all")
-        hit = v2_cache.get("key")
-        assert hit is not None
-        assert dataset_to_bytes(hit) == dataset_to_bytes(small_dataset)
-        # The corrupt preferred entry is cleaned up; the fallback remains.
-        assert not v2_path.exists()
-        assert v2_cache.path_for("key", fmt="v1").exists()
-
     def test_version_mismatch_is_a_miss(self, small_dataset, tmp_path):
         """An entry with the wrong embedded version is dropped, not fatal."""
-        cache = DatasetCache(tmp_path, fmt="v2")
+        cache = DatasetCache(tmp_path)
         path = cache.put("key", small_dataset)
-        # v1-format bytes under the v2 suffix: the JSON header parses but
-        # carries format_version 1, which the v2 reader must reject.
-        path.write_bytes(dataset_to_bytes(small_dataset))
+        arrays, meta = read_arrays(path)
+        write_arrays(path, dict(arrays), meta={**meta, "format_version": 99})
         assert cache.get("key") is None
         assert not path.exists()
 
-    def test_own_format_preferred_over_fallback(self, small_dataset, tmp_path):
-        DatasetCache(tmp_path, fmt="v1").put("key", small_dataset)
-        v2_cache = DatasetCache(tmp_path, fmt="v2")
-        v2_cache.put("key", small_dataset)
-        # Corrupt the v1 entry; the v2 cache must not even look at it.
-        v2_cache.path_for("key", fmt="v1").write_bytes(b"garbage")
-        hit = v2_cache.get("key")
-        assert hit is not None
-        assert hit.table1_row() == small_dataset.table1_row()
+    @pytest.mark.parametrize("suffix", [".cols.gz", ".jsonl.gz"])
+    def test_legacy_entry_is_a_miss_left_in_place(self, small_dataset, tmp_path, suffix):
+        """Entries of the retired gzip formats are neither read nor
+        deleted: the key misses and the next ``put`` writes a ``.cols``."""
+        legacy = tmp_path / f"trace-key{suffix}"
+        legacy.write_bytes(dataset_to_bytes(small_dataset))
+        before = legacy.read_bytes()
+        cache = DatasetCache(tmp_path)
+        assert cache.get("key") is None
+        assert "key" not in cache
+        assert legacy.read_bytes() == before
+        cache.put("key", small_dataset)
+        assert cache.get("key") is not None
+        assert legacy.read_bytes() == before
 
 
 class TestCacheHygiene:
@@ -293,22 +321,20 @@ class TestCacheHygiene:
         stale_temp_harness(
             DatasetCache,
             dead_name=f"{path.name}.tmp{{pid}}",
-            live_name="trace-other.cols.gz.tmp{pid}",
+            live_name="trace-other.cols.tmp{pid}",
         )
         assert DatasetCache(tmp_path).get("key") is not None
 
     def test_put_cleans_temp_when_serialization_fails(
         self, small_dataset, tmp_path, monkeypatch
     ):
-        cache = DatasetCache(tmp_path, fmt="v2")
+        cache = DatasetCache(tmp_path)
 
         def explode(dataset, path):
             path.write_bytes(b"half written")
             raise RuntimeError("disk on fire")
 
-        monkeypatch.setitem(
-            _CACHE_FORMATS, "v2", (".cols.gz", explode, _CACHE_FORMATS["v2"][2])
-        )
+        monkeypatch.setattr(storage, "save_dataset_mapped", explode)
         with pytest.raises(RuntimeError):
             cache.put("key", small_dataset)
         assert not list(tmp_path.glob("*.tmp*"))
@@ -320,7 +346,7 @@ class TestCacheHygiene:
         assert "key" not in cache
         path = cache.put("key", small_dataset)
         assert "key" in cache
-        path.write_bytes(b"not gzip at all")
+        _flip_byte(path, "start_time")
         assert "key" not in cache
         assert not path.exists()
 

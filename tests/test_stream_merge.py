@@ -1,8 +1,8 @@
 """The out-of-core streaming merge (:mod:`repro.parallel.merge`).
 
 The contract under test: for every shards/workers/transport choice, the
-streamed merge's on-disk ``mmap``-format file is **byte-identical** to
-the in-memory merge followed by ``DatasetCache.put`` — the file IS the
+streamed merge's on-disk column file is **byte-identical** to the
+in-memory merge followed by ``DatasetCache.put`` — the file IS the
 cache entry, so nothing less than identity will do.  Plus the edges the
 streaming path introduces: zero-row day shards, crash-orphaned writer
 temps, the ``REPRO_TRACE_MERGE`` override, and the re-key allocation
@@ -44,10 +44,10 @@ def _config(shards: int = 1, workers: int = 1) -> TraceConfig:
 
 @pytest.fixture(scope="module")
 def reference_bytes(tmp_path_factory) -> bytes:
-    """Ground truth: in-memory merge, serial, then ``put`` as mmap."""
+    """Ground truth: in-memory merge, serial, then ``put``."""
     config = _config()
     trace = generate_trace(config, merge="memory")
-    cache = DatasetCache(tmp_path_factory.mktemp("reference"), fmt="mmap")
+    cache = DatasetCache(tmp_path_factory.mktemp("reference"))
     return cache.put(config.cache_key(), trace.dataset).read_bytes()
 
 
@@ -74,12 +74,10 @@ def test_streamed_entry_byte_identical_across_matrix(
         stale.unlink()
     config = _config(shards=shards, workers=workers)
     registry = MetricsRegistry()
-    generate_trace(
-        config, cache_dir=shared_cache_dir, cache_format="mmap", registry=registry
-    )
+    generate_trace(config, cache_dir=shared_cache_dir, registry=registry)
     snapshot = registry.snapshot()
     assert snapshot["gauges"]["trace.merge_streamed"]["value"] == 1.0
-    entry = DatasetCache(shared_cache_dir, fmt="mmap").path_for(config.cache_key())
+    entry = DatasetCache(shared_cache_dir).path_for(config.cache_key())
     assert entry.read_bytes() == reference_bytes
 
 
@@ -117,7 +115,7 @@ def test_zero_row_day_shards_merge_identically(tmp_path):
     present = np.unique(memory.columns.start_time.astype(np.int64) // 86400)
     assert len(present) < config.growth.days, "regression needs empty days"
     generate_trace(config, run_dir=tmp_path / "run", merge="stream")
-    reference = DatasetCache(tmp_path / "reference", fmt="mmap")
+    reference = DatasetCache(tmp_path / "reference")
     expected = reference.put(config.cache_key(), memory).read_bytes()
     assert (tmp_path / "run" / "merged.cols").read_bytes() == expected
 
@@ -158,11 +156,11 @@ def test_dead_writer_temp_swept_live_kept(stale_temp_harness):
     — the cache's existing sweep collects it; no entry ever exists."""
     key = _config().cache_key()
     root = stale_temp_harness(
-        lambda root: DatasetCache(root, fmt="mmap"),
+        DatasetCache,
         dead_name=f"trace-{key}.cols.tmp{{pid}}",
         live_name=f"trace-{key}.cols.live.tmp{{pid}}",
     )
-    cache = DatasetCache(root, fmt="mmap")
+    cache = DatasetCache(root)
     assert cache.get(key) is None
     assert not cache.path_for(key).exists()
 
@@ -182,26 +180,12 @@ def test_merge_env_override_forces_memory(tmp_path, monkeypatch, reference_bytes
     monkeypatch.setenv("REPRO_TRACE_MERGE", "memory")
     config = _config()
     registry = MetricsRegistry()
-    generate_trace(config, cache_dir=tmp_path, cache_format="mmap", registry=registry)
+    generate_trace(config, cache_dir=tmp_path, registry=registry)
     snapshot = registry.snapshot()
     assert snapshot["gauges"]["trace.merge_streamed"]["value"] == 0.0
     # The memory path stores through cache.put — same bytes, same entry.
-    entry = DatasetCache(tmp_path, fmt="mmap").path_for(config.cache_key())
+    entry = DatasetCache(tmp_path).path_for(config.cache_key())
     assert entry.read_bytes() == reference_bytes
-
-
-def test_explicit_cache_format_survives_streaming(tmp_path):
-    """A non-mmap ``cache_format`` is an explicit compression choice:
-    the merge still streams, but the entry is stored via ``put`` in the
-    requested format, not hijacked into an mmap file."""
-    config = _config(shards=4)
-    registry = MetricsRegistry()
-    generate_trace(config, cache_dir=tmp_path, cache_format="v1", registry=registry)
-    assert registry.snapshot()["gauges"]["trace.merge_streamed"]["value"] == 1.0
-    cache = DatasetCache(tmp_path, fmt="v1")
-    assert cache.path_for(config.cache_key()).exists()
-    assert not cache.path_for(config.cache_key(), fmt="mmap").exists()
-    assert cache.get(config.cache_key()) is not None
 
 
 def test_merge_env_rejects_unknown_value(monkeypatch):

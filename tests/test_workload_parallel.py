@@ -311,24 +311,24 @@ class TestCacheFirstProbe:
 
 
 class TestCacheFormatMatrix:
-    """Acceptance: byte-identical datasets across workers x formats."""
+    """Acceptance: byte-identical cached datasets across worker counts."""
 
-    @pytest.mark.parametrize("fmt", ["v1", "v2", "mmap"])
-    @pytest.mark.parametrize("workers", [1, 2, 4])
-    def test_cached_dataset_byte_identical(self, reference_bytes, tmp_path, fmt, workers):
+    # Case ids name the entry format: the mapped (mmap) column file.
+    @pytest.mark.parametrize("workers", [1, 2, 4], ids=lambda w: f"{w}-mmap")
+    def test_cached_dataset_byte_identical(self, reference_bytes, tmp_path, workers):
         config = TraceConfig.periscope(
             scale=SCALE, seed=SEED, workers=workers, shards=3 * workers
         )
-        fresh = generate_trace(config, cache_dir=tmp_path, cache_format=fmt)
+        fresh = generate_trace(config, cache_dir=tmp_path)
         assert dataset_to_bytes(fresh.dataset) == reference_bytes
-        cached = generate_trace(config, cache_dir=tmp_path, cache_format=fmt)
+        cached = generate_trace(config, cache_dir=tmp_path)
         assert dataset_to_bytes(cached.dataset) == reference_bytes
 
     def test_mmap_cached_aggregates_match_in_ram(self, tmp_path):
         """The mapped dataset behaves like the in-RAM one, not just its bytes."""
         config = TraceConfig.periscope(scale=SCALE, seed=SEED)
-        fresh = generate_trace(config, cache_dir=tmp_path, cache_format="mmap")
-        mapped = generate_trace(config, cache_dir=tmp_path, cache_format="mmap")
+        fresh = generate_trace(config, cache_dir=tmp_path)
+        mapped = generate_trace(config, cache_dir=tmp_path)
         assert mapped.dataset.table1_row() == fresh.dataset.table1_row()
         assert np.array_equal(
             mapped.dataset.columns.viewer_ids, fresh.dataset.columns.viewer_ids
