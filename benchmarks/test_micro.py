@@ -15,6 +15,7 @@ from repro.core.polling import polling_delays
 from repro.protocols.rtmp import RtmpPacket, parse_rtmp_packet
 from repro.simulation.engine import Simulator
 from repro.social.generation import FollowGraphConfig, generate_follow_graph
+from repro.social.metrics import compute_graph_metrics
 
 
 def test_event_engine_throughput(benchmark):
@@ -77,6 +78,22 @@ def test_follow_graph_generation_throughput(benchmark):
 
     graph = benchmark.pedantic(run, rounds=3, iterations=1)
     assert graph.node_count == 2_000
+
+
+def test_table2_graph_metrics_throughput(benchmark):
+    """Table 2's sampled clustering, path length and assortativity on the
+    default-scale Periscope graph (6,000 nodes, ~122K edges)."""
+    from repro.experiments.context import DEFAULT_SCALE, DEFAULT_SEED, periscope_trace
+
+    graph = periscope_trace(DEFAULT_SCALE, DEFAULT_SEED).graph
+
+    def run():
+        return compute_graph_metrics(graph, np.random.default_rng(DEFAULT_SEED))
+
+    metrics = benchmark.pedantic(run, rounds=5, iterations=1)
+    assert metrics.nodes == graph.node_count
+    assert 0.0 < metrics.clustering_coefficient < 1.0
+    assert metrics.avg_path_length > 1.0
 
 
 def test_global_list_sampling_throughput(benchmark):

@@ -29,6 +29,10 @@
 #                                             # nothing and error nothing at
 #                                             # baseline, shed under a flash
 #                                             # crowd, and be seed-stable
+#   scripts/check.sh scorecard                # `repro --validate` must print
+#                                             # exactly the committed
+#                                             # scorecard.txt (every claim
+#                                             # and measured value)
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -138,6 +142,18 @@ fi
 
 if [[ "${1:-}" == "chaos-pipeline" ]]; then
     PYTHONPATH=src python scripts/chaos_pipeline.py
+    exit 0
+fi
+
+if [[ "${1:-}" == "scorecard" ]]; then
+    # A failing claim exits 1 but still prints the scorecard; the diff
+    # below reports it, so the exit status is not fatal here.
+    actual="$(PYTHONPATH=src python -m repro --validate)" || true
+    if ! diff -u scorecard.txt <(printf '%s\n' "$actual"); then
+        echo "scorecard FAILED: repro --validate differs from scorecard.txt" >&2
+        exit 1
+    fi
+    echo "scorecard ok: repro --validate matches scorecard.txt"
     exit 0
 fi
 

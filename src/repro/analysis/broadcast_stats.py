@@ -85,15 +85,17 @@ def hls_broadcast_fractions(
 ) -> dict[str, float]:
     """§4.1's spillover statistics: the fraction of broadcasts with at
     least one HLS viewer (audience beyond the RTMP tier), and with at
-    least ``rtmp_threshold`` HLS viewers (paper: 5.77% and ~2.2%)."""
+    least ``rtmp_threshold`` HLS viewers (paper: 5.77% and ~2.2%).
+
+    The first ``rtmp_threshold`` viewers of a broadcast are served over
+    RTMP and every later one over HLS."""
     total = dataset.broadcast_count
     if total == 0:
         raise ValueError("empty dataset")
-    at_least_one = sum(1 for r in dataset if r.total_views > rtmp_threshold)
-    at_least_hundred = sum(
-        1 for r in dataset if r.total_views > rtmp_threshold + rtmp_threshold
-    )
+    views = dataset.per_broadcast("total_views")
+    some_hls = int(np.count_nonzero(views > rtmp_threshold))
+    many_hls = int(np.count_nonzero(views >= 2 * rtmp_threshold))
     return {
-        "some_hls": at_least_one / total,
-        "many_hls": at_least_hundred / total,
+        "some_hls": some_hls / total,
+        "many_hls": many_hls / total,
     }

@@ -7,22 +7,32 @@ shortest-path length, and degree assortativity.
 
 Clustering and path length are estimated on random node samples — exact
 computation is quadratic and the paper's own numbers for 12M-node graphs
-are necessarily sampled too.  Assortativity (Pearson correlation of total
-degrees across directed edges, the convention the referenced
-Twitter/Facebook studies use) is exact on small graphs and switches to a
-seeded source-node sampling estimator above
-:data:`ASSORTATIVITY_EXACT_MAX_NODES` nodes, where the all-edges scan
-made scale >= 0.01 graphs intractable.
+are necessarily sampled too.  Both run on one undirected CSR built per
+call: the path-length BFS expands a whole frontier per numpy step, and
+clustering intersects sorted neighbor lists with ``searchsorted``, so
+neither walks nodes one at a time in Python.
+
+Assortativity (Pearson correlation of total degrees across directed
+edges, the convention the referenced Twitter/Facebook studies use) is
+exact on small graphs and switches to a seeded source-node sampling
+estimator above :data:`ASSORTATIVITY_EXACT_MAX_NODES` nodes, where the
+all-edges scan made scale >= 0.01 graphs intractable.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.social.graph import AnyFollowGraph, CompiledGraph, FollowGraph
+from repro.social.graph import (
+    _PACK_MASK,
+    _PACK_MAX_NODES,
+    _PACK_SHIFT,
+    AnyFollowGraph,
+    CompiledGraph,
+    FollowGraph,
+)
 
 
 @dataclass(frozen=True)
@@ -76,8 +86,17 @@ TABLE2_REFERENCE: dict[str, dict[str, float]] = {
 }
 
 
-#: Neighbor-set size above which a hub is skipped in clustering counts.
+#: Undirected degree above which a neighbor is skipped in clustering counts.
 CLUSTERING_HUB_CUTOFF = 50_000
+
+#: Hop limit of the path-length BFS: nodes this deep are not expanded.
+BFS_CUTOFF = 50
+
+#: Neighbor entries the clustering count gathers per step.  Its working
+#: memory is a few int64 arrays of this length (a few MiB), however heavy
+#: the sampled nodes' neighborhoods are; the whole gather at default scale
+#: is about 3M entries.
+_CLUSTERING_GATHER_BUDGET = 1 << 16
 
 
 def _node_array(graph: AnyFollowGraph) -> np.ndarray:
@@ -106,26 +125,124 @@ def _degree_values(graph: AnyFollowGraph, kind: str) -> np.ndarray:
     raise ValueError(f"unknown degree kind {kind!r}")
 
 
+def _gather(
+    indices: np.ndarray, lo: np.ndarray, hi: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The slices ``indices[lo[i]:hi[i]]`` laid end to end, and their lengths."""
+    counts = hi - lo
+    starts = np.zeros(len(lo) + 1, dtype=np.int64)
+    np.cumsum(counts, out=starts[1:])
+    offsets = np.arange(starts[-1], dtype=np.int64) + np.repeat(lo - starts[:-1], counts)
+    return indices[offsets], counts
+
+
+def _sorted_unique(values: np.ndarray) -> np.ndarray:
+    """``np.unique`` for int arrays as a plain sort and neighbor compare,
+    several times faster than numpy's own on wide int64 keys."""
+    values = np.sort(values)
+    keep = np.ones(len(values), dtype=bool)
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    return values[keep]
+
+
+@dataclass(frozen=True)
+class _UndirectedCSR:
+    """The follow graph with edge direction dropped, as one CSR.
+
+    Row ``i`` holds the sorted CSR indices of node ``node_ids[i]``'s
+    followers and followees; a mutual follow appears once.  Its neighbors
+    above ``i`` start at ``above[i]``.
+    """
+
+    node_ids: np.ndarray
+    indptr: np.ndarray
+    indices: np.ndarray
+    above: np.ndarray
+
+    @classmethod
+    def of(cls, graph: AnyFollowGraph) -> "_UndirectedCSR":
+        """Pack both directions of every edge as ``a << 32 | b`` keys; one
+        sort dedupes them, one ``searchsorted`` cuts the rows."""
+        compiled = graph if isinstance(graph, CompiledGraph) else graph.compile()
+        n = compiled.node_count
+        if n > _PACK_MAX_NODES:
+            raise ValueError("undirected CSR requires at most 2**31 nodes")
+        src = np.repeat(np.arange(n, dtype=np.int64), compiled.out_degrees())
+        dst = compiled.indices
+        keys = _sorted_unique(
+            np.concatenate(((src << _PACK_SHIFT) | dst, (dst << _PACK_SHIFT) | src))
+        )
+        rows = np.arange(n + 1, dtype=np.int64)
+        indptr = np.searchsorted(keys, rows << _PACK_SHIFT)
+        above = np.searchsorted(keys, (rows[:-1] << _PACK_SHIFT) | rows[:-1])
+        return cls(compiled.node_ids, indptr, keys & _PACK_MASK, above)
+
+    def neighbors(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The neighbor lists of ``rows`` laid end to end, and their lengths."""
+        return _gather(self.indices, self.indptr[rows], self.indptr[rows + 1])
+
+    def rows_of(self, user_ids: np.ndarray) -> np.ndarray:
+        """CSR rows of known ``user_ids``, in the given order."""
+        return np.searchsorted(self.node_ids, user_ids)
+
+
+def _clustering_coefficients(csr: _UndirectedCSR, rows: np.ndarray) -> np.ndarray:
+    """Local clustering coefficient of each CSR row in ``rows``, in order.
+
+    The sampled rows' sorted neighbor lists become one strictly
+    increasing haystack of ``sample_position * n + neighbor`` keys.  For
+    each non-hub neighbor ``u`` of a row, the neighbors of ``u`` above
+    ``u`` (exactly those that can sit after ``u`` in the row's sorted
+    list) are looked up in that row's stretch; each hit is one link, so
+    every neighbor pair counts at most once.
+    """
+    n = len(csr.node_ids)
+    degrees = np.diff(csr.indptr)
+    neighbors, k = csr.neighbors(rows)
+    owner = np.repeat(np.arange(len(rows), dtype=np.int64), k)
+    haystack = owner * n + neighbors
+    links = np.zeros(len(rows), dtype=np.int64)
+    not_hub = degrees[neighbors] <= CLUSTERING_HUB_CUTOFF
+    searched, searched_owner = neighbors[not_hub], owner[not_hub]
+    lo, hi = csr.above[searched], csr.indptr[searched + 1]
+    steps = np.cumsum(hi - lo) // _CLUSTERING_GATHER_BUDGET
+    for part in np.split(np.arange(len(searched)), np.flatnonzero(np.diff(steps)) + 1):
+        second, counts = _gather(csr.indices, lo[part], hi[part])
+        query_owner = np.repeat(searched_owner[part], counts)
+        query = query_owner * n + second
+        found = np.minimum(np.searchsorted(haystack, query), len(haystack) - 1)
+        hit = haystack[found] == query
+        links += np.bincount(query_owner[hit], minlength=len(rows))
+    return 2.0 * links / np.maximum(k * (k - 1), 1)
+
+
 def local_clustering(graph: AnyFollowGraph, node: int) -> float:
-    """Undirected local clustering coefficient of ``node``."""
-    neighbors = graph.undirected_neighbors(node)
-    k = len(neighbors)
-    if k < 2:
+    """Undirected local clustering coefficient of ``node`` (0.0 if unknown).
+
+    Builds the undirected CSR of the whole graph, so score many nodes with
+    :func:`average_clustering` rather than one call each.  Neighbor pairs
+    are counted from the earlier neighbor in sorted-ID order, and a
+    neighbor whose undirected degree exceeds
+    :data:`CLUSTERING_HUB_CUTOFF` contributes no pairs of its own.  With
+    no such hub among the neighbors the order does not matter.
+    """
+    if node not in graph:
         return 0.0
-    neighbor_list = list(neighbors)
-    links = 0
-    for i, u in enumerate(neighbor_list):
-        u_neighbors = graph.undirected_neighbors(u)
-        # Guard against huge hubs dominating runtime.  (This check used to
-        # sit *after* the pair loop as a no-op ``continue`` — the hub's
-        # neighbor set was already materialized and scanned by then.)
-        if len(u_neighbors) > CLUSTERING_HUB_CUTOFF:
-            continue
-        # Count pairs once: only neighbors later in the list.
-        for v in neighbor_list[i + 1 :]:
-            if v in u_neighbors:
-                links += 1
-    return 2.0 * links / (k * (k - 1))
+    csr = _UndirectedCSR.of(graph)
+    rows = csr.rows_of(np.array([node], dtype=np.int64))
+    return float(_clustering_coefficients(csr, rows)[0])
+
+
+def _mean_clustering(
+    csr: _UndirectedCSR, nodes: np.ndarray, rng: np.random.Generator, sample_size: int
+) -> float:
+    if len(nodes) == 0:
+        return 0.0
+    if len(nodes) <= sample_size:
+        sample = nodes
+    else:
+        sample = rng.choice(nodes, size=sample_size, replace=False)
+    return float(np.mean(_clustering_coefficients(csr, csr.rows_of(sample))))
 
 
 def average_clustering(
@@ -133,31 +250,44 @@ def average_clustering(
     rng: np.random.Generator,
     sample_size: int = 1_000,
 ) -> float:
-    """Average local clustering over a random node sample."""
-    nodes = _node_array(graph)
-    if len(nodes) == 0:
+    """Average local clustering over a random node sample.
+
+    The sample is drawn from the graph's own node order (insertion order
+    for a :class:`FollowGraph`), so a seed picks the same nodes whichever
+    representation the graph has.  Hub handling as in
+    :func:`local_clustering`.
+    """
+    return _mean_clustering(_UndirectedCSR.of(graph), _node_array(graph), rng, sample_size)
+
+
+def _mean_path_length(
+    csr: _UndirectedCSR,
+    nodes: np.ndarray,
+    rng: np.random.Generator,
+    sample_size: int,
+) -> float:
+    if len(nodes) < 2:
         return 0.0
-    if len(nodes) <= sample_size:
-        sample = nodes
-    else:
-        sample = rng.choice(nodes, size=sample_size, replace=False)
-    return float(np.mean([local_clustering(graph, int(node)) for node in sample]))
-
-
-def _bfs_distances(graph: AnyFollowGraph, source: int, cutoff: int = 50) -> dict[int, int]:
-    """Undirected BFS distances from ``source`` up to ``cutoff`` hops."""
-    distances = {source: 0}
-    frontier = deque([source])
-    while frontier:
-        node = frontier.popleft()
-        depth = distances[node]
-        if depth >= cutoff:
-            continue
-        for neighbor in graph.undirected_neighbors(node):
-            if neighbor not in distances:
-                distances[neighbor] = depth + 1
-                frontier.append(neighbor)
-    return distances
+    sources = (
+        nodes if len(nodes) <= sample_size else rng.choice(nodes, size=sample_size, replace=False)
+    )
+    visited = np.zeros(len(csr.node_ids), dtype=bool)
+    total = 0
+    count = 0
+    for source in csr.rows_of(sources):
+        # Level-synchronous BFS: expand the whole frontier at once.
+        visited[:] = False
+        visited[source] = True
+        frontier = np.array([source], dtype=np.int64)
+        depth = 0
+        while len(frontier) and depth < BFS_CUTOFF:
+            reached, _ = csr.neighbors(frontier)
+            frontier = _sorted_unique(reached[~visited[reached]])
+            visited[frontier] = True
+            depth += 1
+            total += depth * len(frontier)
+            count += len(frontier)
+    return total / count if count else 0.0
 
 
 def average_path_length(
@@ -169,23 +299,10 @@ def average_path_length(
 
     Paths are measured on the undirected version of the graph (the
     convention of the studies Table 2 cites).  Unreachable pairs are
-    excluded.
+    excluded, and so are nodes more than :data:`BFS_CUTOFF` hops from a
+    source.
     """
-    nodes = _node_array(graph)
-    if len(nodes) < 2:
-        return 0.0
-    sources = (
-        nodes if len(nodes) <= sample_size else rng.choice(nodes, size=sample_size, replace=False)
-    )
-    total = 0
-    count = 0
-    for source in sources:
-        distances = _bfs_distances(graph, int(source))
-        for node, distance in distances.items():
-            if node != source:
-                total += distance
-                count += 1
-    return total / count if count else 0.0
+    return _mean_path_length(_UndirectedCSR.of(graph), _node_array(graph), rng, sample_size)
 
 
 #: Above this many nodes the exact all-edges assortativity scan (a Python
@@ -227,18 +344,9 @@ def _compiled_assortativity(
     sources = rng.choice(
         np.arange(graph.node_count, dtype=np.int64), size=sample_size, replace=False
     )
-    counts = graph.indptr[sources + 1] - graph.indptr[sources]
+    targets, counts = _gather(graph.indices, graph.indptr[sources], graph.indptr[sources + 1])
     src_idx = np.repeat(sources, counts)
-    # Ragged gather of every sampled source's out-neighbor slice.
-    total = int(counts.sum())
-    starts = np.zeros(len(sources) + 1, dtype=np.int64)
-    np.cumsum(counts, out=starts[1:])
-    offsets = (
-        np.arange(total, dtype=np.int64)
-        - np.repeat(starts[:-1], counts)
-        + np.repeat(graph.indptr[sources], counts)
-    )
-    return _assortativity_of_arrays(degrees[src_idx], degrees[graph.indices[offsets]])
+    return _assortativity_of_arrays(degrees[src_idx], degrees[targets])
 
 
 def _assortativity_over(
@@ -299,16 +407,19 @@ def compute_graph_metrics(
     clustering_sample: int = 1_000,
     path_sample: int = 50,
 ) -> GraphMetrics:
-    """All Table 2 metrics for ``graph``."""
+    """All Table 2 metrics for ``graph``; one undirected CSR serves both the
+    clustering and the path-length estimate."""
     nodes = graph.node_count
     edges = graph.edge_count
     avg_degree = 2.0 * edges / nodes if nodes else 0.0
+    node_ids = _node_array(graph)
+    undirected = _UndirectedCSR.of(graph)
     return GraphMetrics(
         nodes=nodes,
         edges=edges,
         avg_degree=avg_degree,
-        clustering_coefficient=average_clustering(graph, rng, clustering_sample),
-        avg_path_length=average_path_length(graph, rng, path_sample),
+        clustering_coefficient=_mean_clustering(undirected, node_ids, rng, clustering_sample),
+        avg_path_length=_mean_path_length(undirected, node_ids, rng, path_sample),
         assortativity=degree_assortativity(graph, rng),
     )
 

@@ -109,7 +109,7 @@ CLAIMS: tuple[Claim, ...] = (
         "follow graph assortativity is non-positive (Twitter-like)",
         "-0.057",
         lambda r: r.data["rows"]["Periscope (generated)"]["assortativity"],
-        lambda v: v < 0.05,
+        lambda v: v <= 0.0,
     ),
     Claim(
         "rtmp-total-delay", "fig11",

@@ -136,6 +136,26 @@ class TestDataset:
             DowntimeWindow(0.0, 1.0, loss_fraction=2.0)
 
 
+class TestHlsBroadcastFractions:
+    def test_threshold_boundaries(self):
+        from repro.analysis.broadcast_stats import hls_broadcast_fractions
+
+        dataset = BroadcastDataset("Periscope", days=1)
+        # total views = mobile viewers + 1 web view
+        for bid, views in enumerate((100, 101, 199, 200), start=1):
+            dataset.add(_record(bid=bid, viewers=range(views - 1), web=1))
+        assert list(dataset.per_broadcast("total_views")) == [100, 101, 199, 200]
+        fractions = hls_broadcast_fractions(dataset, rtmp_threshold=100)
+        # 100 views all fit the RTMP tier; 200 views put exactly 100 on HLS.
+        assert fractions == {"some_hls": 3 / 4, "many_hls": 1 / 4}
+
+    def test_empty_dataset_rejected(self):
+        from repro.analysis.broadcast_stats import hls_broadcast_fractions
+
+        with pytest.raises(ValueError):
+            hls_broadcast_fractions(BroadcastDataset("Periscope", days=1))
+
+
 class TestTokenBucket:
     def test_acquire_until_empty(self):
         bucket = TokenBucket(rate_per_s=1.0, capacity=3.0)

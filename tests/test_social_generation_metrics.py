@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
+from unittest import mock
+
+import graph_oracles as oracle
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.social import metrics as social_metrics
 from repro.social.generation import (
     FollowGraphConfig,
     generate_follow_graph,
@@ -203,6 +209,117 @@ class TestClusteringHubGuard:
         assert local_clustering(graph, 1) == 1.0
         monkeypatch.setattr(social_metrics, "CLUSTERING_HUB_CUTOFF", 0)
         assert local_clustering(graph, 1) == 0.0
+
+
+def _relabelled(graph: CompiledGraph, seed: int) -> FollowGraph:
+    """``graph`` as a :class:`FollowGraph` with sparse, shuffled IDs whose
+    insertion order differs from their sorted order."""
+    rng = np.random.default_rng(seed)
+    ids = 10_000 + 37 * rng.permutation(graph.node_count)
+    relabelled = FollowGraph()
+    for index in rng.permutation(graph.node_count):
+        relabelled.add_node(int(ids[index]))
+    src, dst = graph.edge_arrays()
+    for edge in rng.permutation(len(src)):
+        relabelled.add_follow(int(ids[src[edge]]), int(ids[dst[edge]]))
+    return relabelled
+
+
+def _assert_matches_oracle(graph, seed: int, sample_size: int) -> None:
+    assert average_clustering(
+        graph, np.random.default_rng(seed), sample_size
+    ) == oracle.average_clustering(graph, np.random.default_rng(seed), sample_size)
+    assert average_path_length(
+        graph, np.random.default_rng(seed), sample_size
+    ) == oracle.average_path_length(
+        graph, np.random.default_rng(seed), sample_size, social_metrics.BFS_CUTOFF
+    )
+
+
+class TestNumpyMetricsMatchOracles:
+    """Exact equality with the per-node reference loops in graph_oracles."""
+
+    @pytest.fixture(scope="class")
+    def compiled(self):
+        return generate_follow_graph_compiled(
+            FollowGraphConfig(n_nodes=400), np.random.default_rng(11)
+        )
+
+    @pytest.mark.parametrize("sample_size", [25, 1_000])
+    def test_seeded_compiled_graph(self, compiled, sample_size):
+        _assert_matches_oracle(compiled, seed=5, sample_size=sample_size)
+
+    def test_compute_graph_metrics_draws_the_same_samples(self, compiled):
+        rng = np.random.default_rng(9)
+        clustering = oracle.average_clustering(compiled, rng, 150)
+        path = oracle.average_path_length(compiled, rng, 12)
+        metrics = compute_graph_metrics(compiled, np.random.default_rng(9), 150, 12)
+        assert metrics.clustering_coefficient == clustering
+        assert metrics.avg_path_length == path
+
+    @pytest.mark.parametrize("sample_size", [40, 1_000])
+    def test_follow_graph_with_shuffled_sparse_ids(self, compiled, sample_size):
+        graph = _relabelled(compiled, seed=3)
+        assert list(graph.nodes()) != sorted(graph.nodes())
+        _assert_matches_oracle(graph, seed=8, sample_size=sample_size)
+        # Either representation of one graph gives the same numbers.
+        _assert_matches_oracle(graph.compile(), seed=8, sample_size=sample_size)
+
+    def test_disconnected_components_and_isolated_nodes(self):
+        edges = [(1, 2), (2, 3), (3, 1), (3, 4), (10, 11), (11, 12), (20, 21)]
+        graph = FollowGraph.from_edges(edges)
+        for lonely in (7, 30, 15):
+            graph.add_node(lonely)
+        compiled = graph.compile()
+        for candidate in (graph, compiled):
+            for seed in range(3):
+                _assert_matches_oracle(candidate, seed, sample_size=5)
+                _assert_matches_oracle(candidate, seed, sample_size=100)
+        # Only reachable ordered pairs count: 12 pairs summing to 16 hops
+        # in {1, 2, 3, 4}, 6 summing to 8 in {10, 11, 12}, 2 in {20, 21}.
+        full = average_path_length(graph, np.random.default_rng(0), sample_size=100)
+        assert full == (16 + 8 + 2) / (12 + 6 + 2)
+
+    def test_mutual_follows_are_one_undirected_neighbor(self):
+        # 1 and 2 follow each other, and so do 2 and 3: node 1 has two
+        # neighbors {2, 3} that are linked once, so clustering is exactly 1.
+        graph = FollowGraph.from_edges([(1, 2), (2, 1), (1, 3), (2, 3), (3, 2)])
+        assert local_clustering(graph, 1) == 1.0
+        assert local_clustering(graph.compile(), 1) == 1.0
+        assert average_clustering(graph, np.random.default_rng(0)) == 1.0
+        assert average_path_length(graph, np.random.default_rng(0)) == 1.0
+
+    @pytest.mark.parametrize("cutoff,expected", [(0, 0.0), (1, 1.0), (2, 20 / 14)])
+    def test_small_bfs_cutoff(self, cutoff, expected, monkeypatch):
+        # An undirected chain 1-2-3-4-5: with cutoff c only pairs at most
+        # c hops apart are reached.
+        graph = FollowGraph.from_edges([(1, 2), (3, 2), (3, 4), (4, 5)])
+        monkeypatch.setattr(social_metrics, "BFS_CUTOFF", cutoff)
+        assert average_path_length(graph, np.random.default_rng(0), 10) == expected
+        _assert_matches_oracle(graph, seed=1, sample_size=3)
+
+    def test_intermediate_hub_cutoff_uses_sorted_neighbor_order(self, compiled, monkeypatch):
+        # Some neighbors are hubs at this cutoff, so pair counting depends
+        # on neighbor order; both sides count in sorted order.
+        assert max(len(compiled.undirected_neighbors(n)) for n in compiled.nodes()) > 40
+        monkeypatch.setattr(social_metrics, "CLUSTERING_HUB_CUTOFF", 40)
+        _assert_matches_oracle(compiled, seed=2, sample_size=80)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        edges=st.lists(
+            st.tuples(st.integers(0, 11), st.integers(0, 11)).filter(lambda e: e[0] != e[1]),
+            max_size=40,
+        ),
+        seed=st.integers(0, 2**16),
+        sample_size=st.integers(1, 14),
+        cutoff=st.integers(0, 6),
+    )
+    def test_random_small_graphs(self, edges, seed, sample_size, cutoff):
+        graph = FollowGraph.from_edges(edges)
+        with mock.patch.object(social_metrics, "BFS_CUTOFF", cutoff):
+            _assert_matches_oracle(graph, seed, sample_size)
+            _assert_matches_oracle(graph.compile(), seed, sample_size)
 
 
 class TestNotifications:
