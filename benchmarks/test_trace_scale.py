@@ -60,7 +60,6 @@ REQUIRED_TOP_KEYS = {
     "schema_version",
     "cpu_count",
     "workers",
-    "transport",
     "smoke",
     "results",
 }
@@ -80,8 +79,8 @@ REQUIRED_RESULT_KEYS = {
     "largest_shard_mb",
 }
 
-#: The streamed merge runs in a fresh child process so its ``ru_maxrss``
-#: high-water mark measures the *merge*, not whatever generation peaked
+#: The streamed merge runs in a fresh child process so its peak-RSS
+#: high-water mark (``VmHWM``) measures the *merge*, not whatever generation peaked
 #: at earlier in this process.  A plain string (not a function) keeps the
 #: child's wall-clock reads out of this module's AST for the linter —
 #: and the child is genuinely standalone: shard files in, one JSON line
@@ -206,7 +205,7 @@ def _measure(scale: float) -> dict:
 
         # Streamed-merge figures, while the shard files still exist: the
         # largest shard on disk (the RSS bound's yardstick) and a fresh
-        # child process whose ru_maxrss covers *only* the merge.
+        # child process whose peak RSS (VmHWM) covers *only* the merge.
         shard_files = sorted(Path(run_dir).glob("shard-*.arrays"))
         largest_shard_mb = max(p.stat().st_size for p in shard_files) / (1024.0 * 1024.0)
         merge_stats = _measure_streamed_merge(scale, run_dir)
@@ -246,7 +245,6 @@ def test_trace_scale_benchmark():
         "schema_version": BENCH_SCHEMA_VERSION,
         "cpu_count": os.cpu_count() or 1,
         "workers": BENCH_WORKERS,
-        "transport": os.environ.get("REPRO_TRACE_TRANSPORT", "mmap"),
         "smoke": smoke,
         "results": [_measure(scale) for scale in scales],
     }

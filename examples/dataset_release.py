@@ -32,9 +32,10 @@ SALT = "release-2016"
 
 def anonymize_dataset(dataset: BroadcastDataset, salt: str) -> BroadcastDataset:
     """One-way pseudonymize every user identifier in the dataset."""
-    released = BroadcastDataset(app_name=dataset.app_name, days=dataset.days)
-    for record in dataset:
-        released.add(
+    return BroadcastDataset(
+        app_name=dataset.app_name,
+        days=dataset.days,
+        records=[
             BroadcastRecord(
                 broadcast_id=record.broadcast_id,
                 broadcaster_id=anonymize_id(record.broadcaster_id, salt),
@@ -52,8 +53,9 @@ def anonymize_dataset(dataset: BroadcastDataset, salt: str) -> BroadcastDataset:
                 is_private=record.is_private,
                 broadcaster_followers=record.broadcaster_followers,
             )
-        )
-    return released
+            for record in dataset
+        ],
+    )
 
 
 def main(output: Path) -> None:

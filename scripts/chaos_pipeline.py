@@ -9,7 +9,10 @@ End-to-end proof that fault recovery never changes the output:
    — must produce identical output (every stored column) through
    retry and re-verify;
 3. a resume of the faulted run dir must regenerate only the damaged
-   shard, skip the healthy ones, and again match column for column.
+   shard, skip the healthy ones, and again match column for column;
+4. the same truncation and resume with ``workers=1``, where every shard
+   is generated in-process and published through the same handler as
+   pooled ones.
 
 Runs at a toy scale with the serial fallback disabled so a real process
 pool (and therefore real worker crashes) is exercised even on a
@@ -34,6 +37,8 @@ SHARDS = 4
 # until a later attempt — fire the truncation on every attempt so the
 # resume leg always finds a damaged shard file to demote.
 FAULTS = "kill-worker@shard=1,truncate-shard@shard=3&attempt=*"
+# The in-process leg: no worker to kill, only the persisted shard to damage.
+INPROCESS_FAULTS = "truncate-shard@shard=3&attempt=*"
 
 
 def _identical(a, b) -> bool:
@@ -52,7 +57,7 @@ def _identical(a, b) -> bool:
     )
 
 
-def _generate(run_dir=None, resume=False, faults=""):
+def _generate(run_dir=None, resume=False, faults="", workers=WORKERS):
     """One trace generation pass; returns (dataset, metrics snapshot)."""
     from repro.obs.metrics import MetricsRegistry
     from repro.parallel import generate_trace
@@ -61,7 +66,7 @@ def _generate(run_dir=None, resume=False, faults=""):
     os.environ["REPRO_TRACE_FAULTS"] = faults
     registry = MetricsRegistry()
     config = TraceConfig.periscope(
-        scale=SCALE, seed=SEED, workers=WORKERS, shards=SHARDS
+        scale=SCALE, seed=SEED, workers=workers, shards=SHARDS
     )
     trace = generate_trace(
         config, registry=registry, run_dir=run_dir, resume=resume
@@ -99,23 +104,42 @@ def main() -> int:
         print(f"  faulted run ({FAULTS}): identical "
               f"({failures:g} worker failures, {retries:g} retries)")
 
-        resumed, counters = _generate(run_dir=run_dir, resume=True)
-        resumed_shards = counters.get("trace.shards_resumed", 0)
-        if not _identical(resumed, reference):
-            print("FAIL: resumed run diverged from clean run", file=sys.stderr)
+        if not _check_resume(run_dir, reference, WORKERS):
             return 1
-        # The truncated shard must have been demoted on open; every
-        # other shard must have been adopted instead of regenerated.
-        if resumed_shards != SHARDS - 1:
-            print(f"FAIL: expected {SHARDS - 1} shards resumed "
-                  f"(one demoted as truncated), got {resumed_shards:g}",
+
+    with tempfile.TemporaryDirectory(prefix="chaos-trace-inprocess-") as tmp:
+        run_dir = Path(tmp) / "run"
+        faulted, _ = _generate(run_dir=run_dir, faults=INPROCESS_FAULTS, workers=1)
+        if not _identical(faulted, reference):
+            print("FAIL: in-process faulted run diverged from clean run",
                   file=sys.stderr)
             return 1
-        print(f"  resumed run: identical, "
-              f"{resumed_shards:g}/{SHARDS} shards skipped")
+        print(f"  in-process faulted run ({INPROCESS_FAULTS}): identical")
+        if not _check_resume(run_dir, reference, 1):
+            return 1
 
     print("chaos-pipeline ok: recovery and resume are identical")
     return 0
+
+
+def _check_resume(run_dir: Path, reference, workers: int) -> bool:
+    """Resume a faulted run dir; it must match and skip every healthy shard."""
+    resumed, counters = _generate(run_dir=run_dir, resume=True, workers=workers)
+    resumed_shards = counters.get("trace.shards_resumed", 0)
+    if not _identical(resumed, reference):
+        print(f"FAIL: resumed run (workers={workers}) diverged from clean run",
+              file=sys.stderr)
+        return False
+    # The truncated shard must have been demoted on open; every other
+    # shard must have been adopted instead of regenerated.
+    if resumed_shards != SHARDS - 1:
+        print(f"FAIL: expected {SHARDS - 1} shards resumed (workers={workers}, "
+              f"one demoted as truncated), got {resumed_shards:g}",
+              file=sys.stderr)
+        return False
+    print(f"  resumed run (workers={workers}): identical, "
+          f"{resumed_shards:g}/{SHARDS} shards skipped")
+    return True
 
 
 if __name__ == "__main__":

@@ -14,10 +14,12 @@
 #   scripts/check.sh bench                    # smoke the trace-scale
 #                                             # benchmark and validate the
 #                                             # emitted BENCH_trace.json
-#   scripts/check.sh chaos-pipeline           # fault-injected trace run:
+#   scripts/check.sh chaos-pipeline           # fault-injected trace runs:
 #                                             # kill a worker + truncate a
-#                                             # shard, require byte-identical
-#                                             # recovery and resume
+#                                             # shard (pooled), truncate a
+#                                             # shard (in-process); require
+#                                             # byte-identical recovery and
+#                                             # resume
 #   scripts/check.sh cache                    # dataset-cache smoke: a cold
 #                                             # `repro trace --cache-dir`
 #                                             # stores one .cols entry, a
@@ -111,7 +113,8 @@ def check(path, payload):
     # The streamed merge's reason to exist: its child-process peak RSS
     # must stay within the largest shard's footprint (x1.5 working
     # headroom) plus a fixed slack for the interpreter + numpy baseline.
-    # Rows measured where resource.getrusage is unavailable log a skip.
+    # Rows measured where peak RSS is unreadable (no VmHWM, no
+    # resource module) log a skip.
     for row in payload["results"]:
         rss = row["peak_rss_mb"]
         if rss is None:

@@ -5,12 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.analysis.cdf import Cdf
-from repro.crawler.dataset import (
-    BroadcastDataset,
-    creations_per_user,
-    viewer_tallies,
-    views_per_user,
-)
+from repro.crawler.dataset import BroadcastDataset, creations_per_user, viewer_tallies
 
 
 def table1_rows(datasets: list[BroadcastDataset]) -> dict[str, dict[str, int]]:
@@ -40,9 +35,7 @@ def hearts_cdf(dataset: BroadcastDataset) -> Cdf:
 
 def _views_per_active_user(dataset: BroadcastDataset) -> np.ndarray:
     """Broadcasts viewed by each user who viewed any (in no set order)."""
-    if dataset.columns is not None:
-        return viewer_tallies(dataset.columns)[1]
-    return np.array(list(views_per_user(dataset.records).values()), dtype=np.int64)
+    return viewer_tallies(dataset.columns)[1]
 
 
 def views_per_user_cdf(dataset: BroadcastDataset) -> Cdf:

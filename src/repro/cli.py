@@ -212,11 +212,9 @@ def _render_trace(args: argparse.Namespace) -> str:
         ("generate", "trace.generate_seconds"),
         ("merge", "trace.merge_seconds"),
     ]
-    streamed = gauges.get("trace.merge_streamed", {}).get("value", 0) > 0
     for label, gauge_name in phases:
         if gauge_name in gauges:
-            suffix = " (streamed)" if streamed and gauge_name == "trace.merge_seconds" else ""
-            lines.append(f"phase {label:<9} {gauges[gauge_name]['value']:.2f}s{suffix}")
+            lines.append(f"phase {label:<9} {gauges[gauge_name]['value']:.2f}s")
     if "trace.peak_rss_mb" in gauges:
         lines.append(f"peak RSS        {gauges['trace.peak_rss_mb']['value']:.0f} MB")
     if cache_hit:
@@ -224,12 +222,8 @@ def _render_trace(args: argparse.Namespace) -> str:
             f"dataset cache   hit ({args.cache_dir}, key {config.cache_key()})"
         )
     elif args.cache_dir:
-        # The streamed merge writes the entry itself; the in-memory
-        # merge (REPRO_TRACE_MERGE=memory) stores it with a `put`.
-        how = "streamed merge" if streamed else "put"
         lines.append(
-            f"dataset cache   miss -> stored ({args.cache_dir}, "
-            f"key {config.cache_key()}, {how})"
+            f"dataset cache   miss -> stored ({args.cache_dir}, key {config.cache_key()})"
         )
     if args.run_dir:
         counters = snapshot["counters"]

@@ -229,14 +229,13 @@ class ArrayFileWriter:
             raise ValueError("array-file schema is empty")
         self.path = Path(path)
         self._specs: list[_ArraySpec] = []
+        self._positions: dict[str, int] = {}  # array name -> schema index
         entries = []
         offset = 0
-        seen: set[str] = set()
         for name, dtype, shape in schema:
             name = str(name)
-            if name in seen:
+            if name in self._positions:
                 raise ValueError(f"duplicate array {name!r} in schema")
-            seen.add(name)
             dtype = np.dtype(dtype)
             if dtype.hasobject:
                 raise ValueError(f"cannot store object arrays (dtype {dtype})")
@@ -244,6 +243,7 @@ class ArrayFileWriter:
                 dtype = dtype.newbyteorder("<")
             spec = _ArraySpec(name, dtype, tuple(int(dim) for dim in shape))
             self._specs.append(spec)
+            self._positions[name] = len(self._specs) - 1
             entries.append(
                 {
                     "name": name,
@@ -309,13 +309,13 @@ class ArrayFileWriter:
         needed.
         """
         self._require_open()
-        names = [spec.name for spec in self._specs[self._index :]]
-        if str(name) not in names:
+        position = self._positions.get(str(name), -1)
+        if position < self._index:
             raise ValueError(
                 f"{self.path}: array {name!r} is not appendable "
                 f"(not in the schema, or already sealed)"
             )
-        while self._specs[self._index].name != str(name):
+        while self._index < position:
             self._close_block()
         spec = self._specs[self._index]
         chunk = np.ascontiguousarray(chunk)

@@ -6,20 +6,19 @@ IDs with join times, and comment/heart tallies.  A :class:`BroadcastDataset`
 is the full measurement — with support for the crawler-downtime window
 (Aug 7–9, ~4.5% of broadcasts lost) that the paper reports.
 
-Datasets have two interchangeable backends.  The record backend is a
-Python list of :class:`BroadcastRecord` objects, built incrementally by
-the crawler simulators.  The columnar backend (:class:`BroadcastColumns`)
-stores the same rows as parallel numpy arrays — the ragged per-broadcast
-viewer lists as one flat array plus a CSR-style ``viewer_indptr`` — which
-is what the trace generator produces at scale: aggregates like
-:meth:`BroadcastDataset.table1_row` then run as array reductions instead
-of per-record loops, and records materialize lazily only when iterated.
+A dataset stores its rows one way: as :class:`BroadcastColumns`,
+parallel numpy arrays with the ragged per-broadcast viewer lists as one
+flat array plus a CSR-style ``viewer_indptr``.  The trace generator
+produces columns directly; the crawler simulators and the release-format
+loader build a record list and convert it once.  Aggregates like
+:meth:`BroadcastDataset.table1_row` run as array reductions, and
+:class:`BroadcastRecord` objects materialize only when a caller iterates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -343,18 +342,17 @@ class BroadcastColumns:
 class BroadcastDataset:
     """A complete crawl of one application over one measurement window.
 
-    Backed either by a list of :class:`BroadcastRecord` (crawler
-    simulators build these incrementally) or by :class:`BroadcastColumns`
-    (the trace generator's bulk output).  ``records`` materializes lazily
-    from columns; aggregate statistics use the columnar fast path when it
-    is available and fall back to record loops otherwise.
+    Always backed by :class:`BroadcastColumns`.  ``records=`` converts a
+    record list once, through :meth:`BroadcastColumns.from_records`;
+    :attr:`records` is a read-only view materialized from the columns on
+    first access.
     """
 
     def __init__(
         self,
         app_name: str,
         days: int,
-        records: Optional[list[BroadcastRecord]] = None,
+        records: Optional[Sequence[BroadcastRecord]] = None,
         downtime: Optional[DowntimeWindow] = None,
         *,
         columns: Optional[BroadcastColumns] = None,
@@ -364,10 +362,10 @@ class BroadcastDataset:
         self.app_name = app_name
         self.days = days
         self.downtime = downtime
+        if columns is None:
+            columns = BroadcastColumns.from_records(app_name, records or [])
         self._columns = columns
-        self._records: Optional[list[BroadcastRecord]] = (
-            list(records) if records is not None else ([] if columns is None else None)
-        )
+        self._records: Optional[tuple[BroadcastRecord, ...]] = None
 
     @classmethod
     def from_columns(
@@ -380,35 +378,24 @@ class BroadcastDataset:
         return cls(app_name=app_name, days=days, downtime=downtime, columns=columns)
 
     @property
-    def records(self) -> list[BroadcastRecord]:
-        """Record-object view; materialized from columns on first access."""
+    def records(self) -> tuple[BroadcastRecord, ...]:
+        """Record-object view; materialized from the columns on first access."""
         if self._records is None:
-            self._records = self._columns.to_records()
+            self._records = tuple(self._columns.to_records())
         return self._records
 
     @property
-    def columns(self) -> Optional[BroadcastColumns]:
-        """The columnar backend, or ``None`` for record-built datasets."""
+    def columns(self) -> BroadcastColumns:
+        """The dataset's rows as parallel arrays."""
         return self._columns
 
     def per_broadcast(self, field: str) -> np.ndarray:
-        """One value per broadcast, in row order, of a field that is both
-        a :class:`BroadcastRecord` attribute and a :class:`BroadcastColumns`
-        column (or property) — read from the columns when present, without
-        materializing records."""
-        if self._columns is not None:
-            return np.asarray(getattr(self._columns, field))
-        return np.array([getattr(record, field) for record in self.records])
-
-    def add(self, record: BroadcastRecord) -> None:
-        records = self.records  # materialize before mutating
-        records.append(record)
-        self._columns = None  # stale: single source of truth is now records
+        """One value per broadcast, in row order, of a :class:`BroadcastColumns`
+        column or property — without materializing records."""
+        return np.asarray(getattr(self._columns, field))
 
     def __len__(self) -> int:
-        if self._columns is not None:
-            return len(self._columns)
-        return len(self.records)
+        return len(self._columns)
 
     def __iter__(self) -> Iterator[BroadcastRecord]:
         return iter(self.records)
@@ -421,9 +408,7 @@ class BroadcastDataset:
 
     @property
     def broadcaster_count(self) -> int:
-        if self._columns is not None:
-            return len(np.unique(self._columns.broadcaster_id))
-        return len({record.broadcaster_id for record in self.records})
+        return len(np.unique(self._columns.broadcaster_id))
 
     @property
     def total_views(self) -> int:
@@ -431,24 +416,15 @@ class BroadcastDataset:
 
     @property
     def mobile_views(self) -> int:
-        if self._columns is not None:
-            return len(self._columns.viewer_ids)
-        return sum(record.mobile_views for record in self.records)
+        return len(self._columns.viewer_ids)
 
     @property
     def web_views(self) -> int:
-        if self._columns is not None:
-            return int(self._columns.web_views.sum())
-        return sum(record.web_views for record in self.records)
+        return int(self._columns.web_views.sum())
 
     @property
     def unique_viewer_count(self) -> int:
-        if self._columns is not None:
-            return len(np.unique(self._columns.viewer_ids))
-        unique: set[int] = set()
-        for record in self.records:
-            unique.update(record.viewer_ids.tolist())
-        return len(unique)
+        return len(np.unique(self._columns.viewer_ids))
 
     def table1_row(self) -> dict[str, int]:
         """The Table 1 row for this dataset."""
@@ -462,51 +438,31 @@ class BroadcastDataset:
     # -- time series (Figures 1-2) ---------------------------------------
 
     def _start_days(self) -> np.ndarray:
-        """Per-row integer start day (columnar backend only)."""
+        """Per-row integer start day."""
         return (self._columns.start_time / SECONDS_PER_DAY).astype(np.int64)
 
     def daily_broadcast_counts(self) -> np.ndarray:
-        if self._columns is not None:
-            days = self._start_days()
-            valid = (days >= 0) & (days < self.days)
-            return np.bincount(days[valid], minlength=self.days)
-        counts = np.zeros(self.days, dtype=np.int64)
-        for record in self.records:
-            day = int(record.start_day)
-            if 0 <= day < self.days:
-                counts[day] += 1
-        return counts
+        days = self._start_days()
+        valid = (days >= 0) & (days < self.days)
+        return np.bincount(days[valid], minlength=self.days)
 
     def daily_active_users(self) -> tuple[np.ndarray, np.ndarray]:
         """(daily unique viewers, daily unique broadcasters)."""
-        if self._columns is not None:
-            cols = self._columns
-            days = self._start_days()
-            valid = (days >= 0) & (days < self.days)
-            # Pack (day, user) into one int64 so uniqueness is one np.unique.
-            b_pairs = (days[valid] << _PACK_ID_BITS) | cols.broadcaster_id[valid]
-            day_per_view = np.repeat(days, cols.mobile_views)
-            view_valid = (day_per_view >= 0) & (day_per_view < self.days)
-            v_pairs = (day_per_view[view_valid] << _PACK_ID_BITS) | cols.viewer_ids[
-                view_valid
-            ]
-            unique_b = np.unique(b_pairs)
-            unique_v = np.unique(v_pairs)
-            return (
-                np.bincount(unique_v >> _PACK_ID_BITS, minlength=self.days),
-                np.bincount(unique_b >> _PACK_ID_BITS, minlength=self.days),
-            )
-        viewers: list[set[int]] = [set() for _ in range(self.days)]
-        broadcasters: list[set[int]] = [set() for _ in range(self.days)]
-        for record in self.records:
-            day = int(record.start_day)
-            if not 0 <= day < self.days:
-                continue
-            broadcasters[day].add(record.broadcaster_id)
-            viewers[day].update(record.viewer_ids.tolist())
+        cols = self._columns
+        days = self._start_days()
+        valid = (days >= 0) & (days < self.days)
+        # Pack (day, user) into one int64 so uniqueness is one np.unique.
+        broadcaster_ids, _ = _ids_below(cols.broadcaster_id, 1 << _PACK_ID_BITS)
+        viewer_ids, _ = _ids_below(cols.viewer_ids, 1 << _PACK_ID_BITS)
+        b_pairs = (days[valid] << _PACK_ID_BITS) | broadcaster_ids[valid]
+        day_per_view = np.repeat(days, cols.mobile_views)
+        view_valid = (day_per_view >= 0) & (day_per_view < self.days)
+        v_pairs = (day_per_view[view_valid] << _PACK_ID_BITS) | viewer_ids[view_valid]
+        unique_b = np.unique(b_pairs)
+        unique_v = np.unique(v_pairs)
         return (
-            np.array([len(s) for s in viewers], dtype=np.int64),
-            np.array([len(s) for s in broadcasters], dtype=np.int64),
+            np.bincount(unique_v >> _PACK_ID_BITS, minlength=self.days),
+            np.bincount(unique_b >> _PACK_ID_BITS, minlength=self.days),
         )
 
     # -- filtering --------------------------------------------------------
@@ -516,17 +472,21 @@ class BroadcastDataset:
     ) -> "BroadcastDataset":
         """Return a copy with broadcasts lost during the outage removed.
 
-        Kept on the record path deliberately: the rng is consulted only
-        for records inside the window, and that draw order is part of the
+        The rng draws one uniform per row inside the window, in row
+        order, and no other — that draw order is part of the
         deterministic contract with existing seeds.
         """
-        kept = [
-            record
-            for record in self.records
-            if not (window.covers(record.start_day) and rng.random() < window.loss_fraction)
-        ]
-        return BroadcastDataset(
-            app_name=self.app_name, days=self.days, records=kept, downtime=window
+        start_days = self._columns.start_time / SECONDS_PER_DAY
+        inside = np.flatnonzero(
+            (window.start_day <= start_days) & (start_days < window.end_day)
+        )
+        keep = np.ones(len(self), dtype=bool)
+        keep[inside[rng.random(len(inside)) < window.loss_fraction]] = False
+        return BroadcastDataset.from_columns(
+            app_name=self.app_name,
+            days=self.days,
+            columns=self._columns.take(np.flatnonzero(keep)),
+            downtime=window,
         )
 
     def sample_records(
@@ -543,8 +503,7 @@ def merge_datasets(datasets: Sequence[BroadcastDataset]) -> BroadcastDataset:
     """Concatenate several crawls of the same app (e.g. sharded crawlers).
 
     Duplicate broadcast IDs keep their first occurrence (in dataset
-    order).  When every input is columnar the merge is a concatenate plus
-    one vectorized first-occurrence scan — no record objects are built.
+    order): a concatenate plus one vectorized first-occurrence scan.
     """
     if not datasets:
         raise ValueError("no datasets to merge")
@@ -552,23 +511,28 @@ def merge_datasets(datasets: Sequence[BroadcastDataset]) -> BroadcastDataset:
     if any(d.app_name != first.app_name for d in datasets):
         raise ValueError("cannot merge datasets from different apps")
     days = max(d.days for d in datasets)
-    if all(d.columns is not None for d in datasets):
-        combined = BroadcastColumns.concat([d.columns for d in datasets])
-        _, first_indices = np.unique(combined.broadcast_id, return_index=True)
-        first_indices.sort()
-        if len(first_indices) != len(combined):
-            combined = combined.take(first_indices)
-        return BroadcastDataset.from_columns(
-            app_name=first.app_name, days=days, columns=combined
-        )
-    merged = BroadcastDataset(app_name=first.app_name, days=days)
-    seen: set[int] = set()
-    for dataset in datasets:
-        for record in dataset:
-            if record.broadcast_id not in seen:
-                seen.add(record.broadcast_id)
-                merged.add(record)
-    return merged
+    combined = BroadcastColumns.concat([d.columns for d in datasets])
+    _, first_indices = np.unique(combined.broadcast_id, return_index=True)
+    first_indices.sort()
+    if len(first_indices) != len(combined):
+        combined = combined.take(first_indices)
+    return BroadcastDataset.from_columns(
+        app_name=first.app_name, days=days, columns=combined
+    )
+
+
+def _ids_below(ids: np.ndarray, limit: int) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """``ids`` recoded into ``[0, limit)`` with the same equalities and order.
+
+    Returns ``(ids, None)`` when they already lie there — generated and
+    crawled IDs do — and otherwise ``(dense ranks, distinct IDs)``, the
+    sorted distinct IDs that the ranks index (pseudonymized IDs span 63
+    bits).
+    """
+    if len(ids) == 0 or (ids.min() >= 0 and ids.max() < limit):
+        return ids, None
+    distinct, ranks = np.unique(ids, return_inverse=True)
+    return ranks.reshape(-1).astype(np.int64), distinct
 
 
 def viewer_tallies(columns: BroadcastColumns) -> tuple[np.ndarray, np.ndarray]:
@@ -578,14 +542,16 @@ def viewer_tallies(columns: BroadcastColumns) -> tuple[np.ndarray, np.ndarray]:
     counts that broadcast once.  The (row, viewer) pairs are deduplicated
     inside bounded row windows and tallied into one count array indexed
     by user ID, so the working set is that array plus one window — never
-    a sort of every view at once.  User IDs must lie in ``[0, 2**40)``;
-    the array costs 8 bytes per ID up to the largest, which suits the
-    dense ``1..total_users`` IDs of generated traces.
+    a sort of every view at once.  The array costs 8 bytes per ID up to
+    the largest, which suits the dense ``1..total_users`` IDs of
+    generated traces; sparser IDs (say, pseudonymized ones) are tallied
+    by dense rank instead, after one sort of the viewer column.
     """
     viewer_ids = columns.viewer_ids
     if len(viewer_ids) == 0:
         empty = np.empty(0, dtype=np.int64)
         return empty, empty
+    viewer_ids, user_ids = _ids_below(viewer_ids, max(len(viewer_ids), _TALLY_WINDOW))
     indptr = columns.viewer_indptr
     tallies = np.zeros(int(viewer_ids.max()) + 1, dtype=np.int64)
     # A window at least as long as the tally keeps the per-window
@@ -606,36 +572,17 @@ def viewer_tallies(columns: BroadcastColumns) -> tuple[np.ndarray, np.ndarray]:
         tallies += np.bincount(pairs & id_mask, minlength=len(tallies))
         row = end
     users = np.flatnonzero(tallies)
-    return users, tallies[users]
+    counts = tallies[users]
+    return (users if user_ids is None else user_ids[users]), counts
 
 
-def views_per_user(
-    records: Union[BroadcastDataset, Iterable[BroadcastRecord]]
-) -> dict[int, int]:
+def views_per_user(dataset: BroadcastDataset) -> dict[int, int]:
     """Number of broadcasts viewed per registered user (Figure 6)."""
-    if isinstance(records, BroadcastDataset) and records.columns is not None:
-        users, counts = viewer_tallies(records.columns)
-        return dict(zip(users.tolist(), counts.tolist()))
-    counts_by_user: dict[int, int] = {}
-    for record in records:
-        for viewer in np.unique(record.viewer_ids):
-            key = int(viewer)
-            counts_by_user[key] = counts_by_user.get(key, 0) + 1
-    return counts_by_user
+    users, counts = viewer_tallies(dataset.columns)
+    return dict(zip(users.tolist(), counts.tolist()))
 
 
-def creations_per_user(
-    records: Union[BroadcastDataset, Iterable[BroadcastRecord]]
-) -> dict[int, int]:
+def creations_per_user(dataset: BroadcastDataset) -> dict[int, int]:
     """Number of broadcasts created per user (Figure 6)."""
-    if isinstance(records, BroadcastDataset) and records.columns is not None:
-        users, counts = np.unique(
-            records.columns.broadcaster_id, return_counts=True
-        )
-        return dict(zip(users.tolist(), counts.tolist()))
-    counts_by_user: dict[int, int] = {}
-    for record in records:
-        counts_by_user[record.broadcaster_id] = (
-            counts_by_user.get(record.broadcaster_id, 0) + 1
-        )
-    return counts_by_user
+    users, counts = np.unique(dataset.columns.broadcaster_id, return_counts=True)
+    return dict(zip(users.tolist(), counts.tolist()))

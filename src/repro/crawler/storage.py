@@ -131,16 +131,15 @@ def dataset_from_bytes(data: bytes, source: str = "<bytes>") -> BroadcastDataset
         version = header.get("format_version")
         if version != _FORMAT_VERSION:
             raise ValueError(f"{source}: unsupported format version {version}")
-        dataset = BroadcastDataset(app_name=header["app_name"], days=header["days"])
-        for line in handle:
-            if line.strip():
-                dataset.add(_record_from_json(json.loads(line)))
+        records = [
+            _record_from_json(json.loads(line)) for line in handle if line.strip()
+        ]
     expected = header.get("record_count")
-    if expected is not None and expected != len(dataset):
+    if expected is not None and expected != len(records):
         raise ValueError(
-            f"{source}: truncated dataset ({len(dataset)} of {expected} records)"
+            f"{source}: truncated dataset ({len(records)} of {expected} records)"
         )
-    return dataset
+    return BroadcastDataset(app_name=header["app_name"], days=header["days"], records=records)
 
 
 def save_dataset(dataset: BroadcastDataset, path: PathLike) -> None:
@@ -188,8 +187,6 @@ def save_dataset_mapped(dataset: BroadcastDataset, path: PathLike) -> None:
     bytes, like the release format.
     """
     columns = dataset.columns
-    if columns is None:
-        columns = BroadcastColumns.from_records(dataset.app_name, dataset.records)
     write_arrays(
         path,
         {field: np.ascontiguousarray(getattr(columns, field), dtype=dtype)

@@ -13,9 +13,10 @@ module fans generation out over a :class:`~concurrent.futures.ProcessPoolExecuto
 * the frozen :class:`~repro.workload.trace.ShardContext` ships to workers
   through a page-aligned mmap'd file (:mod:`repro.crawler.arrayfile`) that
   each worker attaches read-only — no per-process unpickling of the pool
-  and CDF buffers — and workers return their day columns the same way,
-  through per-shard array files the parent maps back (the legacy
-  ``transport="pickle"`` path is kept for comparison and testing),
+  and CDF buffers,
+* every shard — pooled, in-process, or degraded — is written to its own
+  array file by one function (:func:`_run_shard`) and published by one
+  handler, so only metadata ever crosses the process boundary,
 * the pool loop *survives its workers*: shards are submitted individually
   and retried with capped backoff on failure, a per-shard deadline
   (``REPRO_TRACE_SHARD_DEADLINE``) convicts hung workers, a
@@ -30,15 +31,10 @@ module fans generation out over a :class:`~concurrent.futures.ProcessPoolExecuto
 * workloads too small to amortize pool startup fall back to the
   in-process walk (``MIN_BROADCASTS_PER_WORKER``) — the fallback only
   changes scheduling, never bytes,
-* shard outputs are merged either in memory — a stable argsort on
-  ``(start_time, broadcast_id)`` plus globally re-keyed IDs
-  (:func:`repro.workload.trace.assemble_dataset_columns`) — or, by
-  default whenever shard files already exist on disk (``run_dir`` or a
-  dataset cache), *out of core*: the streaming merge
-  (:mod:`repro.parallel.merge`) copies shard files straight into the
-  final cache column file in bounded windows, so peak RSS never
-  holds the whole dataset.  Both merges produce byte-identical files
-  (test-enforced); ``REPRO_TRACE_MERGE`` overrides the choice,
+* shard files are merged *out of core*: the streaming merge
+  (:mod:`repro.parallel.merge`) copies them straight into the final
+  column file — the dataset-cache entry when there is a cache — in
+  bounded windows, so peak RSS never holds the whole dataset,
 * an optional on-disk cache (:class:`repro.crawler.storage.DatasetCache`,
   keyed by :meth:`TraceConfig.cache_key`) lets figure experiments reuse
   generated traces across processes.  The cache is probed *before* any
@@ -63,7 +59,6 @@ import shutil
 import tempfile
 import time
 from collections import deque
-from contextlib import ExitStack
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
@@ -73,6 +68,7 @@ import numpy as np
 
 from repro.obs import NULL_REGISTRY, peak_rss_mb
 from repro.crawler.arrayfile import atomic_output, read_arrays, write_arrays
+from repro.crawler.storage import COLUMN_LAYOUT, DatasetCache
 from repro.parallel.checkpoint import RunCheckpoint, shard_filename
 from repro.parallel.merge import stream_merge_shards
 from repro.parallel.faults import (
@@ -90,26 +86,10 @@ from repro.workload.trace import (
     ShardContext,
     TraceConfig,
     WorkloadTrace,
-    assemble_dataset_columns,
     build_follow_graph,
     build_trace_context,
     generate_day_columns,
 )
-
-#: Worker transports: ``"mmap"`` ships context and results through
-#: page-aligned array files workers attach with ``np.memmap``;
-#: ``"pickle"`` is the legacy initargs/return-value path.
-TRANSPORTS = ("mmap", "pickle")
-TRANSPORT_ENV = "REPRO_TRACE_TRANSPORT"
-
-#: Merge strategies: ``"stream"`` runs the out-of-core streaming merge
-#: (:mod:`repro.parallel.merge`) over shard files on disk; ``"memory"``
-#: concatenates every shard's columns in RAM
-#: (:func:`~repro.workload.trace.assemble_dataset_columns`).  Identical
-#: bytes either way; the default depends on whether shard files exist
-#: anyway (run dir or dataset cache present → ``"stream"``).
-MERGES = ("memory", "stream")
-MERGE_ENV = "REPRO_TRACE_MERGE"
 
 #: Below this expected per-worker broadcast volume a process pool costs
 #: more than it saves, so generation stays in-process.  Overridable via
@@ -145,7 +125,7 @@ _BACKOFF_CAP = 1.0
 #: Poll interval for the deadline clock; only paid when a deadline is set.
 _POLL_SECONDS = 0.05
 
-#: ShardContext array fields shipped through the mmap transport (the
+#: ShardContext array fields shipped to workers as one mapped file (the
 #: remaining fields — config and audience_cap — travel as initargs).
 _CONTEXT_ARRAY_FIELDS = (
     "broadcaster_ids",
@@ -155,24 +135,7 @@ _CONTEXT_ARRAY_FIELDS = (
     "follower_counts",
 )
 
-#: BroadcastColumns array fields, in serialization order.
-_COLUMN_FIELDS = (
-    "broadcast_id",
-    "broadcaster_id",
-    "start_time",
-    "duration_s",
-    "web_views",
-    "heart_count",
-    "comment_count",
-    "commenter_count",
-    "is_private",
-    "broadcaster_followers",
-    "viewer_indptr",
-    "viewer_ids",
-)
-
-#: Per-worker-process shard context (set by the pool initializer, or
-#: inherited from the parent on fork start methods).
+#: Per-worker-process shard context (set by the pool initializer).
 _WORKER_CONTEXT: Optional[ShardContext] = None
 
 
@@ -205,46 +168,6 @@ def _env_float(name: str, default: float) -> float:
         ) from None
 
 
-def resolve_transport(transport: Optional[str] = None) -> str:
-    """Validate a transport choice, naming its source in the error.
-
-    ``None`` consults ``REPRO_TRACE_TRANSPORT`` (default ``"mmap"``); an
-    unknown value — passed or from the environment — raises a
-    ``ValueError`` listing the accepted transports.
-    """
-    source = "transport argument"
-    if transport is None:
-        transport = os.environ.get(TRANSPORT_ENV, "mmap")
-        source = f"{TRANSPORT_ENV} environment variable"
-    if transport not in TRANSPORTS:
-        raise ValueError(
-            f"unknown transport {transport!r} (from {source}); "
-            f"expected one of {TRANSPORTS}"
-        )
-    return transport
-
-
-def resolve_merge(merge: Optional[str] = None, default: str = "memory") -> str:
-    """Validate a merge-strategy choice, naming its source in the error.
-
-    ``None`` consults ``REPRO_TRACE_MERGE``, falling back to ``default``
-    (callers pass the context-appropriate one: ``"stream"`` when shard
-    files will exist on disk anyway, ``"memory"`` otherwise).  An
-    unknown value — passed or from the environment — raises a
-    ``ValueError`` listing the accepted strategies.
-    """
-    source = "merge argument"
-    if merge is None:
-        merge = os.environ.get(MERGE_ENV) or default
-        source = f"{MERGE_ENV} environment variable"
-    if merge not in MERGES:
-        raise ValueError(
-            f"unknown merge strategy {merge!r} (from {source}); "
-            f"expected one of {MERGES}"
-        )
-    return merge
-
-
 def validate_environment() -> None:
     """Fail fast on malformed generation env knobs.
 
@@ -253,8 +176,6 @@ def validate_environment() -> None:
     minutes into it.  Each check raises ``ValueError`` naming the
     variable and the accepted values.
     """
-    resolve_transport()
-    resolve_merge()
     fault_plan_from_env()
     _env_int(MIN_PER_WORKER_ENV, MIN_BROADCASTS_PER_WORKER)
     _env_int(SHARD_RETRIES_ENV, DEFAULT_SHARD_RETRIES)
@@ -265,33 +186,46 @@ def validate_environment() -> None:
 # -- worker-side shard execution ---------------------------------------
 
 
-def _init_worker(context: ShardContext) -> None:
+def _init_worker(config: TraceConfig, audience_cap: int, context_path: str) -> None:
+    """Attach read-only mapped views of the parent's context arrays."""
     global _WORKER_CONTEXT
+    arrays, _meta = read_arrays(context_path)
     # Written exactly once per worker process, by the pool initializer,
     # before any shard runs — worker-local configuration, not shared state.
-    _WORKER_CONTEXT = context  # repro: allow[worker-global-mutation] set once by the pool initializer before any shard task runs
-
-
-def _init_worker_mapped(config: TraceConfig, audience_cap: int, context_path: str) -> None:
-    """Attach read-only mapped views of the parent's context arrays."""
-    arrays, _meta = read_arrays(context_path)
-    _init_worker(
-        ShardContext(
-            config=config,
-            audience_cap=audience_cap,
-            **{name: arrays[name] for name in _CONTEXT_ARRAY_FIELDS},
-        )
+    _WORKER_CONTEXT = ShardContext(  # repro: allow[worker-global-mutation] set once by the pool initializer before any shard task runs
+        config=config,
+        audience_cap=audience_cap,
+        **{name: arrays[name] for name in _CONTEXT_ARRAY_FIELDS},
     )
 
 
-def _run_shard(
-    spec: ShardSpec, context: Optional[ShardContext] = None, attempt: int = 0
-) -> tuple[int, list[BroadcastColumns], float]:
-    """Generate one shard's day range; returns (shard_id, day columns, seconds).
+def _columns_to_arrays(day_columns: list[BroadcastColumns]) -> dict[str, np.ndarray]:
+    """Flatten per-day column batches into array-file entries."""
+    arrays = {}
+    for position, columns in enumerate(day_columns):
+        for field, _dtype in COLUMN_LAYOUT:
+            arrays[f"{position:03d}/{field}"] = getattr(columns, field)
+    return arrays
 
-    Worker-side pipeline faults fire only on the pooled path (``context``
-    is ``None``) — an injected ``os._exit`` must kill a *worker*, never
-    the parent running the in-process fallback.
+
+def _run_shard(
+    spec: ShardSpec,
+    out_dir: Path,
+    attempt: int = 0,
+    context: Optional[ShardContext] = None,
+) -> tuple[int, str, float]:
+    """Generate one shard and write its day columns to an array file.
+
+    Pool workers pass no ``context`` and use the one their initializer
+    attached; the in-process and degraded paths pass the parent's.
+    Worker-side pipeline faults fire only in pool workers — an injected
+    ``os._exit`` must kill a *worker*, never the parent.
+
+    The file is written under a ``.tmp<pid>`` name — the parent promotes
+    it with ``os.replace`` (directly, or through the run checkpoint), so
+    a worker killed mid-write can never leave a plausible-looking shard
+    file behind.  Returns ``(shard_id, temp_path, seconds)``, where
+    ``seconds`` covers generation only.
     """
     ctx = context if context is not None else _WORKER_CONTEXT
     if ctx is None:
@@ -300,55 +234,10 @@ def _run_shard(
         inject_worker_fault(fault_plan_from_env(), spec.shard_id, attempt)
     started = time.perf_counter()
     day_columns = [generate_day_columns(ctx, day) for day in spec.days()]
-    return spec.shard_id, day_columns, time.perf_counter() - started
-
-
-def _columns_to_arrays(day_columns: list[BroadcastColumns]) -> dict[str, np.ndarray]:
-    """Flatten per-day column batches into array-file entries."""
-    arrays = {}
-    for position, columns in enumerate(day_columns):
-        for field in _COLUMN_FIELDS:
-            arrays[f"{position:03d}/{field}"] = getattr(columns, field)
-    return arrays
-
-
-def _run_shard_mapped(
-    spec: ShardSpec, out_dir: str, attempt: int = 0
-) -> tuple[int, str, int, float]:
-    """Generate one shard and write its day columns to an array file.
-
-    The file is written under a ``.tmp<pid>`` name — the parent promotes
-    it with ``os.replace`` (directly, or through the run checkpoint), so
-    a worker killed mid-write can never leave a plausible-looking shard
-    file behind.  Returns ``(shard_id, temp_path, n_days, seconds)`` —
-    only metadata crosses the process boundary; the parent maps the
-    columns back.
-    """
-    shard_id, day_columns, seconds = _run_shard(spec, attempt=attempt)
-    temp = Path(out_dir) / f"{shard_filename(spec.shard_id)}.tmp{os.getpid()}"
+    seconds = time.perf_counter() - started
+    temp = out_dir / f"{shard_filename(spec.shard_id)}.tmp{os.getpid()}"
     write_arrays(temp, _columns_to_arrays(day_columns), meta={"n_days": len(day_columns)})
-    return shard_id, str(temp), len(day_columns), seconds
-
-
-def _read_shard_columns(
-    path: Union[str, Path], app_name: str, copy: bool = False
-) -> list[BroadcastColumns]:
-    """Map a shard file back as per-day column batches.
-
-    ``copy=True`` materializes the columns in RAM instead of leaving them
-    as ``np.memmap`` views — required before deliberately damaging the
-    file (persist-fault injection), where a mapped view would SIGBUS.
-    """
-    arrays, meta = read_arrays(path)
-    if copy:
-        arrays = {name: np.array(array, copy=True) for name, array in arrays.items()}
-    return [
-        BroadcastColumns(
-            app_name=app_name,
-            **{field: arrays[f"{position:03d}/{field}"] for field in _COLUMN_FIELDS},
-        )
-        for position in range(int(meta["n_days"]))
-    ]
+    return spec.shard_id, str(temp), seconds
 
 
 def effective_workers(config: TraceConfig, n_shards: int) -> int:
@@ -532,42 +421,27 @@ def generate_dataset(
     config: TraceConfig,
     context: ShardContext,
     registry=NULL_REGISTRY,
-    transport: Optional[str] = None,
     run_dir: Optional[Union[str, Path]] = None,
     resume: bool = True,
-    merge: Optional[str] = None,
     merge_path: Optional[Union[str, Path]] = None,
 ) -> BroadcastDataset:
     """Generate the broadcast dataset from a prebuilt context.
 
     Honours ``config.shards`` / ``config.workers``; the output is
-    independent of both (test-enforced).  ``transport`` picks how context
-    and results cross the process boundary (``"mmap"`` default,
-    ``"pickle"`` legacy; env override ``REPRO_TRACE_TRANSPORT``) and is
-    equally output-invariant.
+    independent of both (test-enforced).
 
     With a ``run_dir``, finished shards are checkpointed there
     (:class:`~repro.parallel.checkpoint.RunCheckpoint`) and — when
-    ``resume`` is true — shards already journaled ``done`` are loaded
+    ``resume`` is true — shards already journaled ``done`` are merged
     from disk instead of regenerated, so an interrupted run repeats no
     finished work.  Checkpointing never changes the merged bytes.
 
-    ``merge`` picks the shard-merge strategy (:data:`MERGES`; env
-    override ``REPRO_TRACE_MERGE``).  ``None`` defaults to the streaming
-    out-of-core merge whenever shard files exist on disk anyway
-    (``run_dir`` or ``merge_path`` given), in-memory otherwise — either
-    way the dataset bytes are identical.  ``merge_path`` names where the
-    streamed merge publishes its column file (this is how
-    :func:`generate_trace` streams straight into the dataset-cache
-    entry); default is ``<run_dir>/merged.cols``, or a scratch file when
-    neither is given.
+    The shard files are merged out of core
+    (:func:`~repro.parallel.merge.stream_merge_shards`) into
+    ``merge_path`` — this is how :func:`generate_trace` streams straight
+    into the dataset-cache entry — defaulting to ``<run_dir>/merged.cols``,
+    or to a scratch file when neither is given.
     """
-    merge = resolve_merge(
-        merge,
-        default="stream" if (run_dir is not None or merge_path is not None) else "memory",
-    )
-    stream = merge == "stream"
-    transport = resolve_transport(transport)
     fault_plan = fault_plan_from_env()
 
     specs = plan_shards(config.growth.days, shards=config.shards, workers=config.workers)
@@ -586,160 +460,70 @@ def generate_dataset(
     )
 
     generate_started = time.perf_counter()
-    results: dict[int, list[BroadcastColumns]] = {}
     shard_files: dict[int, Path] = {}
 
-    # Scratch space and the mmap transport dir are stack-managed so that
-    # in stream mode the shard files survive until the merge has read
-    # them; on POSIX the merged dataset's mappings survive the cleanup
-    # unlink, so the returned dataset outlives the stack.
-    with ExitStack() as stack:
-        scratch: Optional[Path] = None
-        if stream:
-            scratch = Path(
-                stack.enter_context(tempfile.TemporaryDirectory(prefix="repro-trace-merge-"))
-            )
+    # The scratch dir holds the worker context file, shard files when
+    # there is no checkpoint, clean copies of fault-damaged shards, and
+    # the merged file when nothing else names one.  On POSIX the merged
+    # dataset's mappings survive the cleanup unlink, so the returned
+    # dataset outlives the directory.
+    with tempfile.TemporaryDirectory(prefix="repro-trace-") as tmp:
+        scratch = Path(tmp)
+        out_dir = checkpoint.root if checkpoint is not None else scratch
 
         if checkpoint is not None and checkpoint.done_shards:
             for shard_id in sorted(checkpoint.done_shards):
-                if stream:
-                    shard_files[shard_id] = checkpoint.shard_path(shard_id)
-                else:
-                    results[shard_id] = _read_shard_columns(
-                        checkpoint.shard_path(shard_id), config.app_name
-                    )
+                shard_files[shard_id] = checkpoint.shard_path(shard_id)
             registry.counter(
                 "trace.shards_resumed", "checkpointed shards loaded instead of regenerated"
             ).inc(checkpoint.resumed)
-        pending = [
-            spec
-            for spec in specs
-            if spec.shard_id not in results and spec.shard_id not in shard_files
-        ]
+        pending = [spec for spec in specs if spec.shard_id not in shard_files]
 
-        def _persist_columns(
-            spec: ShardSpec, attempt: int, day_columns: list[BroadcastColumns]
-        ) -> None:
-            """Persist parent-held columns (in-process and pickle paths).
-
-            Journals to the checkpoint when there is one; in stream mode
-            additionally guarantees a *clean* shard file for the merge to
-            read — the checkpoint copy when no persist fault is about to
-            damage it, a scratch copy otherwise.
-            """
-            path = None
+        def _publish(spec: ShardSpec, attempt: int, result: tuple) -> None:
+            """Promote a finished shard file and queue it for the merge."""
+            shard_id, temp_path, seconds = result
             if checkpoint is not None:
-                path = checkpoint.write_shard(
-                    spec.shard_id,
-                    _columns_to_arrays(day_columns),
-                    meta={"n_days": len(day_columns)},
-                )
-            if stream:
-                will_fault = path is not None and _persist_fault_pending(
-                    fault_plan, spec.shard_id, attempt
-                )
-                if path is None or will_fault:
-                    clean = scratch / shard_filename(spec.shard_id)
-                    write_arrays(
-                        clean,
-                        _columns_to_arrays(day_columns),
-                        meta={"n_days": len(day_columns)},
-                    )
-                    shard_files[spec.shard_id] = clean
-                else:
-                    shard_files[spec.shard_id] = path
-            if path is not None:
-                inject_persist_fault(fault_plan, spec.shard_id, attempt, path)
-
-        def _finish_inline(spec: ShardSpec, attempt: int = 0) -> None:
-            """Generate one shard in-process (fallback and degraded modes)."""
-            shard_id, day_columns, seconds = _run_shard(spec, context)
-            _persist_columns(spec, attempt, day_columns)
-            if not stream:
-                results[shard_id] = day_columns
+                path = checkpoint.publish_shard(shard_id, temp_path)
+            else:
+                path = scratch / shard_filename(shard_id)
+                os.replace(temp_path, path)
+            shard_files[shard_id] = path
+            if checkpoint is not None and _persist_fault_pending(
+                fault_plan, shard_id, attempt
+            ):
+                # The fault is about to damage the journaled file; the
+                # merge reads a clean private copy taken first.
+                clean = scratch / shard_filename(shard_id)
+                shutil.copyfile(path, clean)
+                shard_files[shard_id] = clean
+                inject_persist_fault(fault_plan, shard_id, attempt, path)
             shard_seconds.observe(seconds)
 
+        def _run_inline(spec: ShardSpec, attempt: int = 0) -> None:
+            """Generate one shard in-process (fallback and degraded modes)."""
+            _publish(spec, attempt, _run_shard(spec, out_dir, attempt, context))
+
         if workers <= 1:
-            # In-process fallback: same shard walk, no executor.
             for spec in pending:
-                _finish_inline(spec)
-        elif not pending:
-            pass  # fully resumed: nothing left to schedule
-        elif transport == "pickle":
-
-            def _handle_pickle(spec: ShardSpec, attempt: int, result: tuple) -> None:
-                shard_id, day_columns, seconds = result
-                _persist_columns(spec, attempt, day_columns)
-                if not stream:
-                    results[shard_id] = day_columns
-                shard_seconds.observe(seconds)
-
-            _run_shards_resilient(
-                pending,
-                make_pool=lambda: ProcessPoolExecutor(
-                    max_workers=workers, initializer=_init_worker, initargs=(context,)
-                ),
-                submit_shard=lambda pool, spec, attempt: pool.submit(
-                    _run_shard, spec, None, attempt
-                ),
-                handle_result=_handle_pickle,
-                run_inline=_finish_inline,
-                registry=registry,
-            )
-        else:
-            # Zero-copy transport: context goes out as one mapped file, day
-            # columns come back as per-shard files.  With a checkpoint the
-            # shard files live (and stay) in the run dir; otherwise they sit
-            # in a stack-scoped temp dir — on POSIX the mappings (and thus
-            # the merged dataset) survive the cleanup unlink.
-            tmp = stack.enter_context(tempfile.TemporaryDirectory(prefix="repro-trace-"))
-            context_path = Path(tmp) / "context.arrays"
+                _run_inline(spec)
+        elif pending:
+            context_path = scratch / "context.arrays"
             write_arrays(
                 context_path,
                 {name: getattr(context, name) for name in _CONTEXT_ARRAY_FIELDS},
             )
-            out_dir = str(checkpoint.root) if checkpoint is not None else tmp
-
-            def _handle_mapped(spec: ShardSpec, attempt: int, result: tuple) -> None:
-                shard_id, temp_path, _n_days, seconds = result
-                if checkpoint is not None:
-                    path = checkpoint.publish_shard(shard_id, temp_path)
-                else:
-                    path = Path(tmp) / shard_filename(shard_id)
-                    os.replace(temp_path, path)
-                # A persist fault about to damage this file means a mapped
-                # view would SIGBUS (memory merge) and the merge input would
-                # be corrupt (streamed) — take a private clean copy first.
-                will_fault = checkpoint is not None and _persist_fault_pending(
-                    fault_plan, shard_id, attempt
-                )
-                if stream:
-                    if will_fault:
-                        clean = scratch / shard_filename(shard_id)
-                        shutil.copyfile(path, clean)
-                        shard_files[shard_id] = clean
-                    else:
-                        shard_files[shard_id] = path
-                else:
-                    results[shard_id] = _read_shard_columns(
-                        path, config.app_name, copy=will_fault
-                    )
-                if checkpoint is not None:
-                    inject_persist_fault(fault_plan, shard_id, attempt, path)
-                shard_seconds.observe(seconds)
-
             _run_shards_resilient(
                 pending,
                 make_pool=lambda: ProcessPoolExecutor(
                     max_workers=workers,
-                    initializer=_init_worker_mapped,
+                    initializer=_init_worker,
                     initargs=(config, context.audience_cap, str(context_path)),
                 ),
                 submit_shard=lambda pool, spec, attempt: pool.submit(
-                    _run_shard_mapped, spec, out_dir, attempt
+                    _run_shard, spec, out_dir, attempt
                 ),
-                handle_result=_handle_mapped,
-                run_inline=_finish_inline,
+                handle_result=_publish,
+                run_inline=_run_inline,
                 registry=registry,
             )
         registry.gauge(
@@ -747,36 +531,20 @@ def generate_dataset(
         ).set(time.perf_counter() - generate_started)
 
         merge_started = time.perf_counter()
-        if stream:
-            if merge_path is not None:
-                out_path = Path(merge_path)
-            elif checkpoint is not None:
-                out_path = checkpoint.root / "merged.cols"
-            else:
-                out_path = scratch / "merged.cols"
-            dataset = stream_merge_shards(
-                config,
-                [shard_files[shard_id] for shard_id in sorted(shard_files)],
-                out_path,
-            )
-        else:
-            ordered_days = [
-                day_columns
-                for shard_id in sorted(results)
-                for day_columns in results[shard_id]
-            ]
-            dataset = assemble_dataset_columns(config, ordered_days)
+        if merge_path is None:
+            merge_path = out_dir / "merged.cols"
+        dataset = stream_merge_shards(
+            config,
+            [shard_files[shard_id] for shard_id in sorted(shard_files)],
+            merge_path,
+        )
     registry.gauge(
         "trace.merge_seconds", "wall seconds merging and re-keying shard output"
     ).set(time.perf_counter() - merge_started)
-    registry.gauge(
-        "trace.merge_streamed",
-        "1 when the out-of-core streaming merge produced the dataset, 0 in-memory",
-    ).set(1.0 if stream else 0.0)
     rss = peak_rss_mb()
     if rss is not None:
         registry.gauge(
-            "trace.peak_rss_mb", "process peak RSS high-water mark (MiB, ru_maxrss)"
+            "trace.peak_rss_mb", "process peak RSS high-water mark (MiB, VmHWM)"
         ).set(rss)
     registry.counter("trace.broadcasts", "broadcast records generated").inc(len(dataset))
     return dataset
@@ -843,7 +611,6 @@ def generate_trace(
     registry=NULL_REGISTRY,
     run_dir: Optional[Union[str, Path]] = None,
     resume: bool = True,
-    merge: Optional[str] = None,
 ) -> WorkloadTrace:
     """Generate (or load from cache) a full :class:`WorkloadTrace`.
 
@@ -858,23 +625,16 @@ def generate_trace(
     ``run_dir`` / ``resume`` enable shard checkpointing — see
     :func:`generate_dataset` and :mod:`repro.parallel.checkpoint`.
 
-    ``merge`` picks the shard-merge strategy (:data:`MERGES`, env
-    override ``REPRO_TRACE_MERGE``); ``None`` defaults to the streaming
-    out-of-core merge whenever a ``cache_dir`` or ``run_dir`` is given.
-    When the merge streams into a cache, the merged file is published
-    directly as the cache entry (atomically, under the same temp-name
-    discipline the cache sweeps) — there is no post-merge ``cache.put``
-    copy, so the dataset is serialized exactly once.  Only the in-memory
-    merge stores its result with ``put``.
+    With a cache, the merge streams straight into the cache entry
+    (atomically, under the same temp-name discipline the cache sweeps)
+    — there is no post-merge ``cache.put`` copy, so the dataset is
+    serialized exactly once.
     """
     validate_environment()
 
     cache = None
     dataset: Optional[BroadcastDataset] = None
     if cache_dir is not None:
-        # Imported here: storage has no dependency on this module.
-        from repro.crawler.storage import DatasetCache
-
         cache = DatasetCache(cache_dir)
         dataset = cache.get(config.cache_key())
 
@@ -908,12 +668,8 @@ def generate_trace(
         "trace.context_seconds", "wall seconds in precompute (graph + pools)"
     ).set(graph_seconds + (time.perf_counter() - context_started))
 
-    merge = resolve_merge(
-        merge,
-        default="stream" if (cache_dir is not None or run_dir is not None) else "memory",
-    )
     merge_path = None
-    if merge == "stream" and cache is not None:
+    if cache is not None:
         # Stream the merge straight into the cache entry — the streamed
         # output IS the cache format.  ArrayFileWriter stages the file as
         # `trace-<key>.cols.tmp<pid>`, which matches the cache's stale
@@ -927,11 +683,8 @@ def generate_trace(
         registry=registry,
         run_dir=run_dir,
         resume=resume,
-        merge=merge,
         merge_path=merge_path,
     )
-    if cache is not None and merge_path is None:
-        cache.put(config.cache_key(), dataset)
 
     return WorkloadTrace(
         config=config,

@@ -25,7 +25,6 @@ from repro.workload.trace import (
     build_trace_context,
     derived_notification_open_rate,
     generate_day_columns,
-    generate_day_records,
 )
 
 __all__ = [
@@ -46,5 +45,4 @@ __all__ = [
     "build_trace_context",
     "derived_notification_open_rate",
     "generate_day_columns",
-    "generate_day_records",
 ]

@@ -28,16 +28,11 @@ import hashlib
 import json
 import math
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
-from repro.crawler.dataset import (
-    SECONDS_PER_DAY,
-    BroadcastColumns,
-    BroadcastDataset,
-    BroadcastRecord,
-)
+from repro.crawler.dataset import SECONDS_PER_DAY, BroadcastColumns, BroadcastDataset
 from repro.simulation.distributions import zipf_weights
 from repro.simulation.randomness import RandomStreams, substream_seed
 from repro.social.generation import FollowGraphConfig, generate_follow_graph_compiled
@@ -236,7 +231,7 @@ class WorkloadTrace:
 class ShardContext:
     """Precomputed, picklable inputs shared by every generation shard.
 
-    Holds everything :func:`generate_day_records` needs — notably the
+    Holds everything :func:`generate_day_columns` needs — notably the
     follower count per broadcaster-pool slot instead of the full graph,
     so shipping a context to a worker process is a few small arrays, not
     millions of edges.
@@ -334,8 +329,9 @@ def generate_day_columns(context: ShardContext, day: int) -> BroadcastColumns:
     own substream, so the result does not depend on which shard or worker
     runs it.  Every random quantity is drawn as one batched call in a
     fixed order, so the draw schedule depends only on the day's broadcast
-    count.  Broadcast IDs are day-local (1-based) placeholders;
-    :func:`assemble_dataset_columns` re-keys them globally.
+    count.  Broadcast IDs are day-local (1-based) placeholders; the
+    merge (:func:`repro.parallel.merge.stream_merge_shards`) re-keys
+    them globally.
     """
     config = context.config
     params_model = config.params
@@ -386,64 +382,6 @@ def generate_day_columns(context: ShardContext, day: int) -> BroadcastColumns:
         broadcaster_followers=followers,
         viewer_indptr=viewer_indptr,
         viewer_ids=context.viewer_ids[viewer_ranks],
-    )
-
-
-def generate_day_records(context: ShardContext, day: int) -> list[BroadcastRecord]:
-    """Record-object view of :func:`generate_day_columns` (same draws)."""
-    return generate_day_columns(context, day).to_records()
-
-
-def assemble_dataset(
-    config: TraceConfig, day_record_lists: Iterable[Sequence[BroadcastRecord]]
-) -> BroadcastDataset:
-    """Merge per-day record lists (in day order) into the final dataset.
-
-    Applies a stable sort on ``(start_time, provisional broadcast_id)``
-    and re-keys IDs globally ``1..N`` so the merged dataset is identical
-    for every sharding/worker schedule.
-    """
-    merged: list[BroadcastRecord] = []
-    for day_records in day_record_lists:
-        merged.extend(day_records)
-    # Day lists are concatenated in day order and are sorted within each
-    # day, so this is a deterministic no-op re-ordering in practice; it is
-    # kept as the explicit merge guarantee.
-    merged.sort(key=lambda record: (record.start_time, record.broadcast_id))
-    dataset = BroadcastDataset(app_name=config.app_name, days=config.growth.days)
-    for global_id, record in enumerate(merged, start=1):
-        record.broadcast_id = global_id
-        dataset.add(record)
-    return dataset
-
-
-def assemble_dataset_columns(
-    config: TraceConfig, day_columns: Iterable[BroadcastColumns]
-) -> BroadcastDataset:
-    """Columnar :func:`assemble_dataset`: concatenate, argsort, re-key.
-
-    Sorting by ``(start_time, day-local broadcast_id)`` orders rows
-    exactly like the record path — start times of different days can
-    never tie (day offsets are strictly below one day), so the day-local
-    IDs only break ties within a day, where the keys agree.
-    """
-    combined = BroadcastColumns.concat(list(day_columns), app_name=config.app_name)
-    order = np.lexsort((combined.broadcast_id, combined.start_time))
-    if not np.array_equal(order, np.arange(len(order))):
-        combined = combined.take(order)
-    n = len(combined)
-    ids = combined.broadcast_id
-    # Cheap endpoint probe first: day-local IDs restart at 1 every day, so
-    # anything but an already-global 1..n keying fails it without the full
-    # comparison, and the re-key allocation is skipped when it would be a
-    # no-op (single-day runs, resorted-but-already-keyed input).
-    already_keyed = n == 0 or (
-        ids[0] == 1 and ids[-1] == n and np.array_equal(ids, np.arange(1, n + 1))
-    )
-    if not already_keyed:
-        combined.broadcast_id = np.arange(1, n + 1, dtype=np.int64)
-    return BroadcastDataset.from_columns(
-        app_name=config.app_name, days=config.growth.days, columns=combined
     )
 
 

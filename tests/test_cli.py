@@ -143,10 +143,10 @@ class TestTraceTarget:
         assert "Traceback" not in err
 
     def test_trace_bad_env_knob_is_a_usage_error(self, monkeypatch, capsys):
-        monkeypatch.setenv("REPRO_TRACE_TRANSPORT", "carrier-pigeon")
+        monkeypatch.setenv("REPRO_TRACE_POOL_REBUILDS", "a few")
         assert main(["trace", "--scale", "0.0001", "--seed", "4"]) == 2
         err = capsys.readouterr().err
-        assert "REPRO_TRACE_TRANSPORT" in err
+        assert "REPRO_TRACE_POOL_REBUILDS" in err
         assert "Traceback" not in err
 
     def test_trace_keyboard_interrupt_exits_130_with_resume_hint(
@@ -164,10 +164,12 @@ class TestTraceTarget:
             checkpoint = RunCheckpoint.open(run_dir, config.cache_key(), specs)
             import numpy as np
 
+            from repro.crawler.arrayfile import write_arrays
+
             for shard_id in (0, 1):
-                checkpoint.write_shard(
-                    shard_id, {"x": np.arange(4, dtype=np.int64)}, meta={}
-                )
+                temp = checkpoint.temp_path(shard_id)
+                write_arrays(temp, {"x": np.arange(4, dtype=np.int64)}, meta={})
+                checkpoint.publish_shard(shard_id, temp)
             raise KeyboardInterrupt
 
         monkeypatch.setattr(cli_module, "_render_trace", lambda args: interrupted(

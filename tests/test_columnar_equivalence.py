@@ -1,10 +1,10 @@
-"""Columnar-vs-record backend equivalence.
+"""Columnar dataset aggregates against the record-loop oracles.
 
-The columnar :class:`BroadcastColumns` core is a pure representation
-change: every aggregate, every serialization, and every cache format
-must be indistinguishable from the row-by-row record path.  These tests
-pin that contract — a divergence here means the vectorized fast path
-changed semantics, not just speed.
+:class:`BroadcastColumns` is the dataset's only representation: every
+aggregate, every serialization, and every cache format must be
+indistinguishable from the row-by-row record loops kept in
+:mod:`trace_oracles`.  These tests pin that contract — a divergence here
+means the vectorized path changed semantics, not just speed.
 """
 
 from __future__ import annotations
@@ -13,17 +13,22 @@ import numpy as np
 import pytest
 
 import repro.crawler.dataset as dataset_module
+import trace_oracles as oracle
 from repro.analysis import broadcast_stats
+from repro.analysis.cdf import Cdf
 from repro.analysis.social_stats import followers_vs_viewers
+from repro.crawler.broadcast_monitor import anonymize_id
 from repro.crawler.dataset import (
     BroadcastColumns,
     BroadcastDataset,
+    DowntimeWindow,
     creations_per_user,
     merge_datasets,
     viewer_tallies,
     views_per_user,
 )
 from repro.crawler.storage import (
+    COLUMN_LAYOUT,
     dataset_from_bytes,
     dataset_to_bytes,
     load_dataset_mapped,
@@ -42,50 +47,107 @@ def columnar_dataset() -> BroadcastDataset:
 
 
 @pytest.fixture(scope="module")
-def record_dataset(columnar_dataset) -> BroadcastDataset:
-    """The same dataset rebuilt through the record backend."""
-    return BroadcastDataset(
-        columnar_dataset.app_name,
-        columnar_dataset.days,
-        records=list(columnar_dataset.records),
-    )
+def records(columnar_dataset) -> list:
+    """The same rows as record objects, for the oracles."""
+    return list(columnar_dataset.records)
+
+
+@pytest.fixture(scope="module")
+def record_dataset(columnar_dataset, records) -> BroadcastDataset:
+    """The same dataset rebuilt from its record list."""
+    return BroadcastDataset(columnar_dataset.app_name, columnar_dataset.days, records=records)
+
+
+def _assert_same_columns(a: BroadcastColumns, b: BroadcastColumns) -> None:
+    for field, _dtype in COLUMN_LAYOUT:
+        assert np.array_equal(getattr(a, field), getattr(b, field)), field
 
 
 class TestAggregateEquivalence:
     def test_backends_in_play(self, columnar_dataset, record_dataset):
-        assert columnar_dataset.columns is not None
-        assert record_dataset.columns is None
+        """A dataset built from records converts them to the same columns."""
+        _assert_same_columns(record_dataset.columns, columnar_dataset.columns)
+        assert isinstance(record_dataset.records, tuple)
 
-    def test_table1_row_identical(self, columnar_dataset, record_dataset):
-        assert columnar_dataset.table1_row() == record_dataset.table1_row()
+    def test_table1_row_identical(self, columnar_dataset, records):
+        assert columnar_dataset.table1_row() == oracle.table1_row(records)
 
-    def test_daily_broadcast_counts_identical(self, columnar_dataset, record_dataset):
+    def test_daily_broadcast_counts_identical(self, columnar_dataset, records):
         assert np.array_equal(
             columnar_dataset.daily_broadcast_counts(),
-            record_dataset.daily_broadcast_counts(),
+            oracle.daily_broadcast_counts(records, columnar_dataset.days),
         )
 
-    def test_daily_active_users_identical(self, columnar_dataset, record_dataset):
+    def test_daily_active_users_identical(self, columnar_dataset, records):
         col_viewers, col_casters = columnar_dataset.daily_active_users()
-        rec_viewers, rec_casters = record_dataset.daily_active_users()
+        rec_viewers, rec_casters = oracle.daily_active_users(records, columnar_dataset.days)
         assert np.array_equal(col_viewers, rec_viewers)
         assert np.array_equal(col_casters, rec_casters)
 
-    def test_per_user_tallies_identical(self, columnar_dataset, record_dataset):
-        assert views_per_user(columnar_dataset) == views_per_user(record_dataset)
-        assert creations_per_user(columnar_dataset) == creations_per_user(record_dataset)
+    def test_per_user_tallies_identical(self, columnar_dataset, records):
+        assert views_per_user(columnar_dataset) == oracle.views_per_user(records)
+        assert creations_per_user(columnar_dataset) == oracle.creations_per_user(records)
 
     def test_v1_serialization_identical(self, columnar_dataset, record_dataset):
         assert dataset_to_bytes(columnar_dataset) == dataset_to_bytes(record_dataset)
 
-    def test_merge_matches_record_merge(self, columnar_dataset, record_dataset):
+    def test_merge_matches_record_merge(self, columnar_dataset, records):
         other = generate_trace(TraceConfig.periscope(scale=SCALE, seed=SEED + 1)).dataset
-        other_records = BroadcastDataset(
-            other.app_name, other.days, records=list(other.records)
+        merged = merge_datasets([columnar_dataset, other])
+        expected = oracle.merge_records([records, list(other.records)])
+        assert dataset_to_bytes(merged) == dataset_to_bytes(
+            BroadcastDataset(merged.app_name, merged.days, records=expected)
         )
-        merged_columnar = merge_datasets([columnar_dataset, other])
-        merged_records = merge_datasets([record_dataset, other_records])
-        assert dataset_to_bytes(merged_columnar) == dataset_to_bytes(merged_records)
+
+    @pytest.mark.parametrize("loss_fraction", [0.0, 0.3, 1.0])
+    def test_apply_downtime_matches_record_oracle(
+        self, columnar_dataset, records, loss_fraction
+    ):
+        """Same rows kept, and the rng left in the same state: one draw per
+        row inside the window, in row order, none outside it."""
+        window = DowntimeWindow(start_day=40.0, end_day=55.5, loss_fraction=loss_fraction)
+        library_rng, oracle_rng = np.random.default_rng(9), np.random.default_rng(9)
+        kept = columnar_dataset.apply_downtime(window, library_rng)
+        expected = oracle.apply_downtime(records, window, oracle_rng)
+        assert any(window.covers(r.start_day) for r in records)
+        assert kept.downtime == window
+        assert dataset_to_bytes(kept) == dataset_to_bytes(
+            BroadcastDataset(kept.app_name, kept.days, records=expected)
+        )
+        assert library_rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+class TestSparseUserIds:
+    """Pseudonymized IDs span 63 bits: the aggregates must not assume
+    dense IDs below 2**40."""
+
+    @pytest.fixture(scope="class")
+    def anonymized(self, records) -> list:
+        import dataclasses
+
+        return [
+            dataclasses.replace(
+                record,
+                broadcaster_id=anonymize_id(record.broadcaster_id),
+                viewer_ids=np.array([anonymize_id(int(v)) for v in record.viewer_ids]),
+            )
+            for record in records[:300]
+        ]
+
+    def test_ids_exceed_packing_range(self, anonymized):
+        assert max(int(r.viewer_ids.max()) for r in anonymized if len(r.viewer_ids)) >= 1 << 40
+
+    def test_per_user_tallies_match_oracle(self, anonymized):
+        dataset = BroadcastDataset("Periscope", 98, records=anonymized)
+        assert views_per_user(dataset) == oracle.views_per_user(anonymized)
+        assert creations_per_user(dataset) == oracle.creations_per_user(anonymized)
+
+    def test_daily_active_users_match_oracle(self, anonymized):
+        dataset = BroadcastDataset("Periscope", 98, records=anonymized)
+        viewers, casters = dataset.daily_active_users()
+        expected_viewers, expected_casters = oracle.daily_active_users(anonymized, 98)
+        assert np.array_equal(viewers, expected_viewers)
+        assert np.array_equal(casters, expected_casters)
 
 
 class TestColumnsRoundTrip:
@@ -180,17 +242,28 @@ ANALYSIS_CDFS = (
 )
 
 
+#: Each CDF's sample, computed one record at a time.
+ORACLE_CDF_SAMPLES = {
+    "broadcast_length_cdf": lambda records: [r.duration_s for r in records],
+    "viewers_per_broadcast_cdf": lambda records: [r.total_views for r in records],
+    "comments_cdf": lambda records: [r.comment_count for r in records],
+    "hearts_cdf": lambda records: [r.heart_count for r in records],
+    "views_per_user_cdf": lambda records: list(oracle.views_per_user(records).values()),
+    "creations_per_user_cdf": lambda records: list(
+        oracle.creations_per_user(records).values()
+    ),
+}
+
+
 @pytest.fixture(scope="module", params=sorted(ANALYSIS_SOURCES))
-def backend_pair(request) -> tuple[BroadcastDataset, BroadcastDataset]:
-    """(columnar, record-backed) datasets holding the same rows."""
+def backend_pair(request) -> tuple[BroadcastDataset, list]:
+    """(dataset, record list) holding the same rows."""
     columns = ANALYSIS_SOURCES[request.param]()
-    columnar = BroadcastDataset.from_columns(columns.app_name, 5, columns)
-    records = BroadcastDataset(columns.app_name, 5, records=columns.to_records())
-    return columnar, records
+    return BroadcastDataset.from_columns(columns.app_name, 5, columns), columns.to_records()
 
 
 class TestAnalysisEquivalence:
-    """The Fig 3-7 analyses read columns directly; the record path is the
+    """The Fig 3-7 analyses read columns directly; the record loops are the
     oracle and every value must match exactly, not approximately."""
 
     def test_duplicate_viewers_in_play(self):
@@ -205,17 +278,22 @@ class TestAnalysisEquivalence:
     def test_cdf_values_identical(self, backend_pair, name):
         columnar, records = backend_pair
         analysis = getattr(broadcast_stats, name)
-        assert np.array_equal(analysis(columnar).values, analysis(records).values)
+        expected = Cdf(np.array(ORACLE_CDF_SAMPLES[name](records)))
+        assert np.array_equal(analysis(columnar).values, expected.values)
 
     def test_activity_skew_identical(self, backend_pair):
         columnar, records = backend_pair
         assert broadcast_stats.viewer_activity_skew(
             columnar
-        ) == broadcast_stats.viewer_activity_skew(records)
+        ) == oracle.viewer_activity_skew(records)
 
     def test_fig7_inputs_identical(self, backend_pair):
         columnar, records = backend_pair
-        for col, rec in zip(followers_vs_viewers(columnar), followers_vs_viewers(records)):
+        expected = (
+            np.array([r.broadcaster_followers for r in records], dtype=float),
+            np.array([r.total_views for r in records], dtype=float),
+        )
+        for col, rec in zip(followers_vs_viewers(columnar), expected):
             assert col.dtype == rec.dtype
             assert np.array_equal(col, rec)
 
@@ -231,7 +309,7 @@ class TestAnalysisEquivalence:
         columnar, records = backend_pair
         users, counts = viewer_tallies(columnar.columns)
         assert np.all(np.diff(users) > 0)
-        assert dict(zip(users.tolist(), counts.tolist())) == views_per_user(records.records)
+        assert dict(zip(users.tolist(), counts.tolist())) == oracle.views_per_user(records)
 
     def test_rows_longer_than_a_window(self, monkeypatch):
         """A row with more views than one window still dedups as a whole,
@@ -242,5 +320,5 @@ class TestAnalysisEquivalence:
         columns.viewer_ids = np.random.default_rng(3).integers(0, 6, 2000)
         records = columns.to_records()
         users, counts = viewer_tallies(columns)
-        assert dict(zip(users.tolist(), counts.tolist())) == views_per_user(records)
+        assert dict(zip(users.tolist(), counts.tolist())) == oracle.views_per_user(records)
         assert counts.max() <= 20

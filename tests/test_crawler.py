@@ -47,9 +47,10 @@ def _record(bid=1, broadcaster=1, start=0.0, duration=60.0, viewers=(2, 3),
 
 class TestDataset:
     def test_table1_row(self):
-        dataset = BroadcastDataset("Periscope", days=2)
-        dataset.add(_record(bid=1, broadcaster=1, viewers=(2, 3)))
-        dataset.add(_record(bid=2, broadcaster=1, viewers=(3, 4)))
+        dataset = BroadcastDataset("Periscope", days=2, records=[
+            _record(bid=1, broadcaster=1, viewers=(2, 3)),
+            _record(bid=2, broadcaster=1, viewers=(3, 4)),
+        ])
         row = dataset.table1_row()
         assert row["broadcasts"] == 2
         assert row["broadcasters"] == 1
@@ -57,24 +58,27 @@ class TestDataset:
         assert row["unique_viewers"] == 3
 
     def test_daily_broadcast_counts(self):
-        dataset = BroadcastDataset("Periscope", days=3)
-        dataset.add(_record(bid=1, start=1000.0))
-        dataset.add(_record(bid=2, start=90_000.0))
-        dataset.add(_record(bid=3, start=91_000.0))
+        dataset = BroadcastDataset("Periscope", days=3, records=[
+            _record(bid=1, start=1000.0),
+            _record(bid=2, start=90_000.0),
+            _record(bid=3, start=91_000.0),
+        ])
         assert list(dataset.daily_broadcast_counts()) == [1, 2, 0]
 
     def test_daily_active_users(self):
-        dataset = BroadcastDataset("Periscope", days=2)
-        dataset.add(_record(bid=1, broadcaster=1, start=0.0, viewers=(2, 3)))
-        dataset.add(_record(bid=2, broadcaster=4, start=90_000.0, viewers=(3,)))
+        dataset = BroadcastDataset("Periscope", days=2, records=[
+            _record(bid=1, broadcaster=1, start=0.0, viewers=(2, 3)),
+            _record(bid=2, broadcaster=4, start=90_000.0, viewers=(3,)),
+        ])
         viewers, broadcasters = dataset.daily_active_users()
         assert list(viewers) == [2, 1]
         assert list(broadcasters) == [1, 1]
 
     def test_downtime_removes_broadcasts(self):
-        dataset = BroadcastDataset("Periscope", days=10)
-        for i in range(100):
-            dataset.add(_record(bid=i, start=i * 8640.0))  # spread over 10 days
+        # 100 broadcasts spread over 10 days.
+        dataset = BroadcastDataset(
+            "Periscope", days=10, records=[_record(bid=i, start=i * 8640.0) for i in range(100)]
+        )
         window = DowntimeWindow(start_day=4.0, end_day=6.0, loss_fraction=1.0)
         filtered = dataset.apply_downtime(window, np.random.default_rng(0))
         assert filtered.broadcast_count == 80
@@ -83,27 +87,22 @@ class TestDataset:
         )
 
     def test_partial_downtime_loss(self):
-        dataset = BroadcastDataset("Periscope", days=1)
-        for i in range(2000):
-            dataset.add(_record(bid=i, start=float(i)))
+        dataset = BroadcastDataset(
+            "Periscope", days=1, records=[_record(bid=i, start=float(i)) for i in range(2000)]
+        )
         window = DowntimeWindow(0.0, 1.0, loss_fraction=0.5)
         filtered = dataset.apply_downtime(window, np.random.default_rng(0))
         assert 850 < filtered.broadcast_count < 1150
 
     def test_sample_records(self):
-        dataset = BroadcastDataset("Periscope", days=1)
-        for i in range(50):
-            dataset.add(_record(bid=i))
+        dataset = BroadcastDataset("Periscope", days=1, records=[_record(bid=i) for i in range(50)])
         sample = dataset.sample_records(np.random.default_rng(0), 10)
         assert len(sample) == 10
         assert len({r.broadcast_id for r in sample}) == 10
 
     def test_merge_deduplicates(self):
-        a = BroadcastDataset("Periscope", days=1)
-        b = BroadcastDataset("Periscope", days=1)
-        a.add(_record(bid=1))
-        b.add(_record(bid=1))
-        b.add(_record(bid=2))
+        a = BroadcastDataset("Periscope", days=1, records=[_record(bid=1)])
+        b = BroadcastDataset("Periscope", days=1, records=[_record(bid=1), _record(bid=2)])
         merged = merge_datasets([a, b])
         assert merged.broadcast_count == 2
 
@@ -114,13 +113,13 @@ class TestDataset:
             merge_datasets([a, b])
 
     def test_per_user_aggregations(self):
-        records = [
+        dataset = BroadcastDataset("Periscope", days=1, records=[
             _record(bid=1, broadcaster=1, viewers=(5, 5, 6)),
             _record(bid=2, broadcaster=1, viewers=(6,)),
-        ]
-        views = views_per_user(records)
+        ])
+        views = views_per_user(dataset)
         assert views == {5: 1, 6: 2}  # unique per broadcast
-        creates = creations_per_user(records)
+        creates = creations_per_user(dataset)
         assert creates == {1: 2}
 
     def test_record_validation(self):
@@ -140,10 +139,11 @@ class TestHlsBroadcastFractions:
     def test_threshold_boundaries(self):
         from repro.analysis.broadcast_stats import hls_broadcast_fractions
 
-        dataset = BroadcastDataset("Periscope", days=1)
         # total views = mobile viewers + 1 web view
-        for bid, views in enumerate((100, 101, 199, 200), start=1):
-            dataset.add(_record(bid=bid, viewers=range(views - 1), web=1))
+        dataset = BroadcastDataset("Periscope", days=1, records=[
+            _record(bid=bid, viewers=range(views - 1), web=1)
+            for bid, views in enumerate((100, 101, 199, 200), start=1)
+        ])
         assert list(dataset.per_broadcast("total_views")) == [100, 101, 199, 200]
         fractions = hls_broadcast_fractions(dataset, rtmp_threshold=100)
         # 100 views all fit the RTMP tier; 200 views put exactly 100 on HLS.

@@ -12,7 +12,7 @@ import pytest
 
 from repro.core.pipeline import DelayMeasurementCampaign
 import repro.crawler.storage as storage
-from repro.crawler.arrayfile import read_array_index, read_arrays, write_arrays
+from repro.crawler.arrayfile import ArrayFileWriter, read_array_index, read_arrays, write_arrays
 from repro.crawler.storage import (
     COLUMN_LAYOUT,
     DatasetCache,
@@ -484,6 +484,71 @@ class TestArrayFile:
         write_arrays(first, arrays, meta={"tag": 1})
         write_arrays(second, arrays, meta={"tag": 1})
         assert first.read_bytes() == second.read_bytes()
+
+
+class TestArrayFileWriter:
+    """The streaming writer's append contract: schema order, sealing,
+    bounds, and no file unless every array is complete."""
+
+    SCHEMA = [("a", "<i8", (4,)), ("gap", "<i8", (0,)), ("b", "<f8", (3,))]
+
+    def test_appends_in_chunks_match_write_arrays(self, tmp_path):
+        with ArrayFileWriter(tmp_path / "w.arrays", self.SCHEMA, meta={"k": 1}) as writer:
+            writer.append("a", np.arange(2, dtype=np.int64))
+            writer.append("a", np.arange(2, 4, dtype=np.int64))
+            writer.append("b", np.array([0.5, 1.5, 2.5]))
+        write_arrays(
+            tmp_path / "ref.arrays",
+            {"a": np.arange(4), "gap": np.empty(0, dtype=np.int64), "b": np.array([0.5, 1.5, 2.5])},
+            meta={"k": 1},
+        )
+        assert (tmp_path / "w.arrays").read_bytes() == (tmp_path / "ref.arrays").read_bytes()
+
+    def test_sealed_name_rejected(self, tmp_path):
+        writer = ArrayFileWriter(tmp_path / "w.arrays", self.SCHEMA)
+        writer.append("a", np.arange(4, dtype=np.int64))
+        writer.append("b", np.zeros(1))
+        with pytest.raises(ValueError, match="'a' is not appendable"):
+            writer.append("a", np.arange(0, dtype=np.int64))
+        writer.abort()
+
+    def test_unknown_name_rejected(self, tmp_path):
+        writer = ArrayFileWriter(tmp_path / "w.arrays", self.SCHEMA)
+        with pytest.raises(ValueError, match="'nope' is not appendable"):
+            writer.append("nope", np.arange(1))
+        writer.abort()
+
+    def test_skipping_ahead_seals_complete_arrays(self, tmp_path):
+        """Moving to ``b`` seals ``a`` (complete) and the zero-length
+        ``gap``, which was never appended at all."""
+        writer = ArrayFileWriter(tmp_path / "w.arrays", self.SCHEMA)
+        writer.append("a", np.arange(4, dtype=np.int64))
+        writer.append("b", np.zeros(3))
+        path = writer.finalize()
+        arrays, _meta = read_arrays(path, verify=True)
+        assert len(arrays["gap"]) == 0
+
+    def test_skipping_an_incomplete_array_rejected(self, tmp_path):
+        writer = ArrayFileWriter(tmp_path / "w.arrays", self.SCHEMA)
+        writer.append("a", np.arange(3, dtype=np.int64))
+        with pytest.raises(ValueError, match="'a' incomplete"):
+            writer.append("b", np.zeros(3))
+        writer.abort()
+
+    def test_overflow_rejected(self, tmp_path):
+        writer = ArrayFileWriter(tmp_path / "w.arrays", self.SCHEMA)
+        writer.append("a", np.arange(3, dtype=np.int64))
+        with pytest.raises(ValueError, match="overflows"):
+            writer.append("a", np.arange(2, dtype=np.int64))
+        writer.abort()
+
+    def test_finalize_incomplete_leaves_no_file(self, tmp_path):
+        target = tmp_path / "w.arrays"
+        writer = ArrayFileWriter(target, self.SCHEMA)
+        writer.append("a", np.arange(4, dtype=np.int64))
+        with pytest.raises(ValueError, match="'b' incomplete"):
+            writer.finalize()
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestTraceStorage:

@@ -259,9 +259,7 @@ class TestDatasetProperties:
     def test_table1_row_internally_consistent(self, spec):
         from repro.crawler.dataset import BroadcastDataset
 
-        dataset = BroadcastDataset("Periscope", days=40)
-        for record in self._records(spec):
-            dataset.add(record)
+        dataset = BroadcastDataset("Periscope", days=40, records=self._records(spec))
         row = dataset.table1_row()
         assert row["broadcasts"] == len(spec)
         assert row["broadcasters"] <= row["broadcasts"]
@@ -285,11 +283,8 @@ class TestDatasetProperties:
     def test_merge_is_idempotent_on_duplicates(self, spec):
         from repro.crawler.dataset import BroadcastDataset, merge_datasets
 
-        a = BroadcastDataset("Periscope", days=40)
-        b = BroadcastDataset("Periscope", days=40)
-        for record in self._records(spec):
-            a.add(record)
-            b.add(record)
+        a = BroadcastDataset("Periscope", days=40, records=self._records(spec))
+        b = BroadcastDataset("Periscope", days=40, records=self._records(spec))
         merged = merge_datasets([a, b])
         assert merged.table1_row() == a.table1_row()
 

@@ -1,12 +1,11 @@
 """The out-of-core streaming merge (:mod:`repro.parallel.merge`).
 
-The contract under test: for every shards/workers/transport choice, the
-streamed merge's on-disk column file is **byte-identical** to the
-in-memory merge followed by ``DatasetCache.put`` — the file IS the
-cache entry, so nothing less than identity will do.  Plus the edges the
-streaming path introduces: zero-row day shards, crash-orphaned writer
-temps, the ``REPRO_TRACE_MERGE`` override, and the re-key allocation
-skip in the in-memory reference path.
+The contract under test: for every shards/workers choice, the streamed
+merge's on-disk column file is **byte-identical** to
+``save_dataset_mapped`` of the in-memory oracle merge
+(:func:`trace_oracles.generate_dataset`) — the file IS the cache entry,
+so nothing less than identity will do.  Plus the edges the streaming
+path introduces: zero-row day shards and crash-orphaned writer temps.
 """
 
 from __future__ import annotations
@@ -16,12 +15,13 @@ import sys
 import numpy as np
 import pytest
 
+import trace_oracles as oracle
 from repro.crawler.arrayfile import ArrayFileWriter
 from repro.crawler.dataset import BroadcastColumns
-from repro.crawler.storage import DatasetCache
-from repro.obs import MetricsRegistry, peak_rss_mb
-from repro.parallel import generate_trace, resolve_merge, validate_environment
-from repro.workload.trace import TraceConfig, assemble_dataset_columns
+from repro.crawler.storage import COLUMN_LAYOUT, DatasetCache, save_dataset_mapped
+from repro.obs import peak_rss_mb
+from repro.parallel import generate_trace
+from repro.workload.trace import TraceConfig
 
 SCALE = 0.0001
 SEED = 17
@@ -32,8 +32,6 @@ def _force_pool():
     """Let tiny workloads actually use worker pools (and nothing else)."""
     patcher = pytest.MonkeyPatch()
     patcher.setenv("REPRO_TRACE_MIN_PER_WORKER", "0")
-    patcher.delenv("REPRO_TRACE_TRANSPORT", raising=False)
-    patcher.delenv("REPRO_TRACE_MERGE", raising=False)
     yield
     patcher.undo()
 
@@ -42,13 +40,16 @@ def _config(shards: int = 1, workers: int = 1) -> TraceConfig:
     return TraceConfig.periscope(scale=SCALE, seed=SEED, shards=shards, workers=workers)
 
 
+def _oracle_bytes(config: TraceConfig, tmp_path) -> bytes:
+    path = tmp_path / "oracle.cols"
+    save_dataset_mapped(oracle.generate_dataset(config), path)
+    return path.read_bytes()
+
+
 @pytest.fixture(scope="module")
 def reference_bytes(tmp_path_factory) -> bytes:
-    """Ground truth: in-memory merge, serial, then ``put``."""
-    config = _config()
-    trace = generate_trace(config, merge="memory")
-    cache = DatasetCache(tmp_path_factory.mktemp("reference"))
-    return cache.put(config.cache_key(), trace.dataset).read_bytes()
+    """Ground truth: the in-memory oracle merge, saved as a column file."""
+    return _oracle_bytes(_config(), tmp_path_factory.mktemp("reference"))
 
 
 @pytest.fixture(scope="module")
@@ -63,20 +64,15 @@ def shared_cache_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("cache")
 
 
-@pytest.mark.parametrize("transport", ["mmap", "pickle"])
 @pytest.mark.parametrize("workers", [1, 2, 4])
 @pytest.mark.parametrize("shards", [1, 4, 13])
 def test_streamed_entry_byte_identical_across_matrix(
-    shards, workers, transport, reference_bytes, shared_cache_dir, monkeypatch
+    shards, workers, reference_bytes, shared_cache_dir
 ):
-    monkeypatch.setenv("REPRO_TRACE_TRANSPORT", transport)
     for stale in shared_cache_dir.glob("trace-*"):
         stale.unlink()
     config = _config(shards=shards, workers=workers)
-    registry = MetricsRegistry()
-    generate_trace(config, cache_dir=shared_cache_dir, registry=registry)
-    snapshot = registry.snapshot()
-    assert snapshot["gauges"]["trace.merge_streamed"]["value"] == 1.0
+    generate_trace(config, cache_dir=shared_cache_dir)
     entry = DatasetCache(shared_cache_dir).path_for(config.cache_key())
     assert entry.read_bytes() == reference_bytes
 
@@ -89,34 +85,36 @@ def test_run_dir_streamed_merge_file(tmp_path, reference_bytes):
     assert trace.dataset.broadcast_count > 0
 
 
+def _assert_same_columns(a, b) -> None:
+    assert (a.app_name, a.days) == (b.app_name, b.days)
+    for field, _dtype in COLUMN_LAYOUT:
+        np.testing.assert_array_equal(getattr(a.columns, field), getattr(b.columns, field))
+
+
 def test_streamed_dataset_matches_in_memory_columns(tmp_path):
     """Not just file bytes: the returned mapped columns match too."""
     config = _config(shards=4, workers=2)
-    memory = generate_trace(config, merge="memory").dataset
     streamed = generate_trace(config, run_dir=tmp_path / "run").dataset
-    for field in (
-        "broadcast_id",
-        "broadcaster_id",
-        "start_time",
-        "viewer_indptr",
-        "viewer_ids",
-        "is_private",
-    ):
-        np.testing.assert_array_equal(
-            getattr(streamed.columns, field), getattr(memory.columns, field)
-        )
+    _assert_same_columns(streamed, oracle.generate_dataset(config))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_cacheless_trace_matches_oracle(workers):
+    """Without a run dir or cache the merge still streams (into scratch),
+    and the dataset equals the oracle column for column."""
+    config = _config(shards=4, workers=workers)
+    _assert_same_columns(generate_trace(config).dataset, oracle.generate_dataset(config))
 
 
 def test_zero_row_day_shards_merge_identically(tmp_path):
     """A scale small enough that early days generate no broadcasts at all
-    must stream exactly like it assembles in memory (satellite a)."""
+    must stream exactly like the oracle assembles it in memory."""
     config = TraceConfig.periscope(scale=0.00002, seed=SEED, shards=13, workers=1)
-    memory = generate_trace(config, merge="memory").dataset
+    memory = oracle.generate_dataset(config)
     present = np.unique(memory.columns.start_time.astype(np.int64) // 86400)
     assert len(present) < config.growth.days, "regression needs empty days"
-    generate_trace(config, run_dir=tmp_path / "run", merge="stream")
-    reference = DatasetCache(tmp_path / "reference")
-    expected = reference.put(config.cache_key(), memory).read_bytes()
+    generate_trace(config, run_dir=tmp_path / "run")
+    expected = _oracle_bytes(config, tmp_path)
     assert (tmp_path / "run" / "merged.cols").read_bytes() == expected
 
 
@@ -125,30 +123,6 @@ def test_concat_of_no_batches():
     assert len(empty) == 0 and empty.app_name == "Periscope"
     with pytest.raises(ValueError, match="no column batches"):
         BroadcastColumns.concat([])
-
-
-def test_rekey_skipped_for_already_global_ids():
-    """A single pre-keyed, pre-sorted batch passes through assemble
-    untouched — no re-key allocation, same array object (satellite b)."""
-    config = _config()
-    zero = np.zeros(3, dtype=np.int64)
-    batch = BroadcastColumns(
-        app_name=config.app_name,
-        broadcast_id=np.arange(1, 4, dtype=np.int64),
-        broadcaster_id=np.array([7, 8, 9], dtype=np.int64),
-        start_time=np.array([10.0, 20.0, 30.0]),
-        duration_s=np.ones(3),
-        web_views=zero,
-        heart_count=zero,
-        comment_count=zero,
-        commenter_count=zero,
-        is_private=np.zeros(3, dtype=bool),
-        broadcaster_followers=zero,
-        viewer_indptr=np.zeros(4, dtype=np.int64),
-        viewer_ids=np.empty(0, dtype=np.int64),
-    )
-    dataset = assemble_dataset_columns(config, [batch])
-    assert dataset.columns.broadcast_id is batch.broadcast_id
 
 
 def test_dead_writer_temp_swept_live_kept(stale_temp_harness):
@@ -174,34 +148,6 @@ def test_writer_crash_mid_append_leaves_nothing(tmp_path):
             raise RuntimeError("boom")
     assert not target.exists()
     assert list(tmp_path.iterdir()) == []
-
-
-def test_merge_env_override_forces_memory(tmp_path, monkeypatch, reference_bytes):
-    monkeypatch.setenv("REPRO_TRACE_MERGE", "memory")
-    config = _config()
-    registry = MetricsRegistry()
-    generate_trace(config, cache_dir=tmp_path, registry=registry)
-    snapshot = registry.snapshot()
-    assert snapshot["gauges"]["trace.merge_streamed"]["value"] == 0.0
-    # The memory path stores through cache.put — same bytes, same entry.
-    entry = DatasetCache(tmp_path).path_for(config.cache_key())
-    assert entry.read_bytes() == reference_bytes
-
-
-def test_merge_env_rejects_unknown_value(monkeypatch):
-    monkeypatch.setenv("REPRO_TRACE_MERGE", "bogus")
-    with pytest.raises(ValueError, match="REPRO_TRACE_MERGE"):
-        validate_environment()
-
-
-def test_resolve_merge_argument_beats_env(monkeypatch):
-    monkeypatch.setenv("REPRO_TRACE_MERGE", "memory")
-    assert resolve_merge("stream") == "stream"
-    assert resolve_merge() == "memory"
-    monkeypatch.delenv("REPRO_TRACE_MERGE")
-    assert resolve_merge(default="stream") == "stream"
-    with pytest.raises(ValueError, match="merge argument"):
-        resolve_merge("bogus")
 
 
 def test_peak_rss_observable():

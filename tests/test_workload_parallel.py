@@ -29,7 +29,7 @@ from repro.workload.trace import (
     TraceGenerator,
     build_trace_context,
     derived_notification_open_rate,
-    generate_day_records,
+    generate_day_columns,
 )
 
 SCALE = 0.0001
@@ -96,8 +96,8 @@ class TestDayStreams:
     def test_day_records_pure_function_of_day(self):
         config = TraceConfig.periscope(scale=SCALE, seed=SEED)
         context, _ = build_trace_context(config)
-        a = generate_day_records(context, 5)
-        b = generate_day_records(context, 5)
+        a = generate_day_columns(context, 5).to_records()
+        b = generate_day_columns(context, 5).to_records()
         assert len(a) == len(b)
         for x, y in zip(a, b):
             assert x.start_time == y.start_time
@@ -107,8 +107,8 @@ class TestDayStreams:
     def test_days_draw_from_distinct_substreams(self):
         config = TraceConfig.periscope(scale=SCALE, seed=SEED)
         context, _ = build_trace_context(config)
-        day3 = generate_day_records(context, 3)
-        day4 = generate_day_records(context, 4)
+        day3 = generate_day_columns(context, 3).to_records()
+        day4 = generate_day_columns(context, 4).to_records()
         offsets3 = {record.start_time % 86_400.0 for record in day3}
         offsets4 = {record.start_time % 86_400.0 for record in day4}
         assert offsets3 != offsets4
@@ -208,12 +208,6 @@ class TestTransports:
         context, _ = build_trace_context(config)
         return config, context
 
-    def test_mmap_and_pickle_transports_byte_identical(self, context_and_config):
-        config, context = context_and_config
-        mapped = generate_dataset(config, context, transport="mmap")
-        pickled = generate_dataset(config, context, transport="pickle")
-        assert dataset_to_bytes(mapped) == dataset_to_bytes(pickled)
-
     @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_mmap_transport_matches_serial_across_workers(
         self, context_and_config, workers
@@ -227,16 +221,9 @@ class TestTransports:
         )
         worker_config = dataclasses.replace(config, workers=workers, shards=7)
         parallel = generate_dataset(
-            worker_config,
-            dataclasses.replace(context, config=worker_config),
-            transport="mmap",
+            worker_config, dataclasses.replace(context, config=worker_config)
         )
         assert dataset_to_bytes(parallel) == dataset_to_bytes(serial)
-
-    def test_unknown_transport_rejected(self, context_and_config):
-        config, context = context_and_config
-        with pytest.raises(ValueError, match="transport"):
-            generate_dataset(config, context, transport="carrier-pigeon")
 
 
 class TestSerialFallback:
