@@ -35,6 +35,12 @@
 #                                             # exactly the committed
 #                                             # scorecard.txt (every claim
 #                                             # and measured value)
+#   scripts/check.sh engine                   # the fig12 delay campaign
+#                                             # (60 broadcasts, seed 2016)
+#                                             # must process exactly 490,883
+#                                             # events in under 300,000 heap
+#                                             # pushes (exact counts, not
+#                                             # timings)
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -157,6 +163,41 @@ if [[ "${1:-}" == "scorecard" ]]; then
         exit 1
     fi
     echo "scorecard ok: repro --validate matches scorecard.txt"
+    exit 0
+fi
+
+if [[ "${1:-}" == "engine" ]]; then
+    PYTHONPATH=src python - <<'EOF'
+from repro.core import pipeline
+from repro.experiments.context import DEFAULT_CAMPAIGN_BROADCASTS, DEFAULT_SEED
+from repro.obs.metrics import MetricsRegistry
+from repro.simulation.engine import Simulator
+
+registries = []
+
+
+def observed_simulator(*args, **kwargs):
+    # One registry per simulator: the engine's collector publishes the
+    # totals of the simulator it is bound to.
+    registry = MetricsRegistry()
+    registries.append(registry)
+    return Simulator(*args, metrics=registry, **kwargs)
+
+
+pipeline.Simulator = observed_simulator
+pipeline.DelayMeasurementCampaign(
+    n_broadcasts=DEFAULT_CAMPAIGN_BROADCASTS, seed=DEFAULT_SEED
+).run()
+snapshots = [registry.snapshot()["counters"] for registry in registries]
+events = int(sum(s["engine.events_processed"]["value"] for s in snapshots))
+pushes = int(sum(s["engine.heap_pushes"]["value"] for s in snapshots))
+assert events == 490_883, f"campaign processed {events} events, expected 490,883"
+assert pushes < 300_000, f"campaign made {pushes} heap pushes, expected < 300,000"
+print(
+    f"engine ok: {len(registries)} simulators, {events} events, "
+    f"{pushes} heap pushes"
+)
+EOF
     exit 0
 fi
 

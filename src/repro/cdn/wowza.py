@@ -111,7 +111,14 @@ class WowzaIngest:
         self._m_live.inc()
 
     def end_broadcast(self, broadcast_id: int) -> IngestRecord:
-        """Flush the trailing partial chunk and close the broadcast."""
+        """Flush the trailing partial chunk and close the broadcast.
+
+        Closing drops the broadcast's RTMP subscribers and expiry
+        listeners: an ended broadcast pushes no frame and completes no
+        chunk, and without them the edges and subscribers that hold this
+        server form no reference cycle with it, so a finished simulation
+        is freed as soon as it is dropped rather than by the cyclic GC.
+        """
         state = self._state(broadcast_id)
         if state.pending_frames:
             self._complete_chunk(state)
@@ -119,6 +126,8 @@ class WowzaIngest:
             self._m_ends.inc()
             self._m_live.dec()
         state.live = False
+        state.rtmp_subscribers.clear()
+        self._expiry_listeners.pop(broadcast_id, None)
         return state.record
 
     def is_live(self, broadcast_id: int) -> bool:

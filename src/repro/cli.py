@@ -204,7 +204,7 @@ def _render_trace(args: argparse.Namespace) -> str:
         f"generated in    {elapsed:.1f}s"
         + (f" ({dataset.broadcast_count / elapsed:.0f} broadcasts/s)" if elapsed > 0 else ""),
     ]
-    # Per-phase wall times from the registry (graph is part of context).
+    # Per-phase wall times from the registry; the phases do not overlap.
     gauges = snapshot["gauges"]
     phases = [
         ("graph", "trace.graph_seconds"),

@@ -9,6 +9,9 @@ stamp every frame) — this is timestamp ① / ⑤ of the delay breakdown.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+
+import numpy as np
+
 from repro.cdn.wowza import WowzaIngest
 from repro.client.network import LastMileLink
 from repro.protocols.frames import VideoFrame
@@ -19,9 +22,11 @@ from repro.simulation.engine import Simulator
 class BroadcasterClient:
     """Streams one broadcast into the CDN.
 
-    ``start`` schedules every frame upfront: frame ``i`` is captured at
+    ``start`` times every frame upfront: frame ``i`` is captured at
     ``start_time + i * frame_interval``, spends the sampled uplink delay on
-    the wire, and lands in :meth:`WowzaIngest.receive_frame`.
+    the wire, and lands in :meth:`WowzaIngest.receive_frame`.  The arrivals
+    are one :meth:`LastMileLink.send_many` pass scheduled as one event
+    series; each frame is built when it is delivered.
     """
 
     broadcast_id: int
@@ -46,15 +51,20 @@ class BroadcasterClient:
             raise ValueError("duration must be positive")
         frame_count = int(duration_s / self.frame_interval_s)
         self.wowza.start_broadcast(self.broadcast_id, self.token)
-        for sequence in range(frame_count):
+        captures = start_time + np.arange(frame_count) * self.frame_interval_s
+        arrivals = self.uplink.send_many(captures, size_kb=self.payload_bytes / 1024.0)
+
+        def deliver(sequence: int) -> None:
             capture_time = start_time + sequence * self.frame_interval_s
-            frame = self._make_frame(sequence, capture_time)
-            arrival = self.uplink.send(capture_time, size_kb=self.payload_bytes / 1024.0)
-            self.simulator.schedule_at(
-                max(arrival, self.simulator.now),
-                _FrameDelivery(self.wowza, self.broadcast_id, frame),
-                label=f"upload:{self.broadcast_id}:{sequence}",
+            self.wowza.receive_frame(
+                self.broadcast_id, self._make_frame(sequence, capture_time)
             )
+
+        self.simulator.schedule_series(
+            np.maximum(arrivals, self.simulator.now),
+            deliver,
+            label=f"upload:{self.broadcast_id}",
+        )
         end_time = start_time + frame_count * self.frame_interval_s
         # End the broadcast only after the last frame has arrived.
         last_arrival = self.uplink.send(end_time)
@@ -78,14 +88,3 @@ class BroadcasterClient:
             payload=payload,
         )
 
-
-class _FrameDelivery:
-    """Deliver one frame to the ingest server (named for debuggability)."""
-
-    def __init__(self, wowza: WowzaIngest, broadcast_id: int, frame: VideoFrame) -> None:
-        self._wowza = wowza
-        self._broadcast_id = broadcast_id
-        self._frame = frame
-
-    def __call__(self) -> None:
-        self._wowza.receive_frame(self._broadcast_id, self._frame)

@@ -52,15 +52,10 @@ class RtmpViewerClient:
         """RtmpSubscriber protocol: server pushed a frame at ``pushed_at``."""
         if broadcast_id != self.broadcast_id:
             raise ValueError(f"frame for wrong broadcast {broadcast_id}")
-        arrival = self.downlink.send(pushed_at)
-        self.simulator.schedule_at(
-            max(arrival, self.simulator.now),
-            _RecordFrame(self, frame),
-            label=f"rtmp-dl:{self.viewer_id}:{frame.sequence}",
-        )
-
-    def _record(self, frame: VideoFrame, time: float) -> None:
-        self.frame_arrivals[frame.sequence] = time
+        # The frame lands at ``arrival`` >= ``pushed_at`` (the server pushes
+        # at its current time), so it is recorded now rather than through
+        # an event that could only fire at that instant.
+        self.frame_arrivals[frame.sequence] = self.downlink.send(pushed_at)
         self.frame_captures[frame.sequence] = frame.capture_time
         self._m_frames.inc()
 
@@ -74,15 +69,6 @@ class RtmpViewerClient:
         return np.array(
             [self.frame_arrivals[s] - self.frame_captures[s] for s in sequences]
         )
-
-
-class _RecordFrame:
-    def __init__(self, client: RtmpViewerClient, frame: VideoFrame) -> None:
-        self._client = client
-        self._frame = frame
-
-    def __call__(self) -> None:
-        self._client._record(self._frame, self._client.simulator.now)
 
 
 @dataclass

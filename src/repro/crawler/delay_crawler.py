@@ -28,15 +28,6 @@ from repro.simulation.engine import Simulator
 
 
 @dataclass(frozen=True)
-class FrameObservation:
-    """One frame seen by the RTMP crawler."""
-
-    sequence: int
-    capture_time: float  # ① from keyframe metadata
-    server_time: float  # ② observed at the co-located crawler
-
-
-@dataclass(frozen=True)
 class ChunkObservation:
     """One chunk seen by the HLS crawler."""
 
@@ -53,7 +44,10 @@ class DelayCrawler:
     simulator: Simulator
     poll_interval_s: float = 0.1
     stop_after: float = float("inf")
-    frames: list[FrameObservation] = field(default_factory=list)
+    # RTMP observations, one entry per frame in push order.
+    frame_sequences: list[int] = field(default_factory=list)
+    frame_captures: list[float] = field(default_factory=list)  # ① from keyframe metadata
+    frame_server_times: list[float] = field(default_factory=list)  # ② at the crawler
     _edge: FastlyEdge | None = field(default=None, init=False)
     _stopped: bool = field(default=False, init=False)
 
@@ -68,13 +62,9 @@ class DelayCrawler:
         """RtmpSubscriber protocol."""
         if broadcast_id != self.broadcast_id:
             raise ValueError("frame for wrong broadcast")
-        self.frames.append(
-            FrameObservation(
-                sequence=frame.sequence,
-                capture_time=frame.capture_time,
-                server_time=pushed_at,
-            )
-        )
+        self.frame_sequences.append(frame.sequence)
+        self.frame_captures.append(frame.capture_time)
+        self.frame_server_times.append(pushed_at)
 
     # -- HLS side ----------------------------------------------------------
 
@@ -101,15 +91,19 @@ class DelayCrawler:
 
     # -- results -------------------------------------------------------------
 
+    def _in_sequence_order(self, values: list[float] | np.ndarray) -> np.ndarray:
+        order = np.argsort(self.frame_sequences, kind="stable")
+        return np.asarray(values, dtype=float)[order]
+
     def frame_arrival_trace(self) -> np.ndarray:
         """Frame arrival times at the ingest server, sequence order."""
-        ordered = sorted(self.frames, key=lambda f: f.sequence)
-        return np.array([f.server_time for f in ordered])
+        return self._in_sequence_order(self.frame_server_times)
 
     def upload_delays(self) -> np.ndarray:
         """Per-frame ② − ①."""
-        ordered = sorted(self.frames, key=lambda f: f.sequence)
-        return np.array([f.server_time - f.capture_time for f in ordered])
+        return self._in_sequence_order(
+            np.subtract(self.frame_server_times, self.frame_captures)
+        )
 
     def chunk_observations(self, wowza: WowzaIngest) -> list[ChunkObservation]:
         """Join the RTMP-side chunk-ready record with POP availability."""

@@ -657,16 +657,16 @@ def generate_trace(
 
     graph_started = time.perf_counter()
     graph = load_or_build_graph(config, cache_dir, registry)
-    graph_seconds = time.perf_counter() - graph_started
     registry.gauge(
         "trace.graph_seconds", "wall seconds building the follow graph"
-    ).set(graph_seconds)
+    ).set(time.perf_counter() - graph_started)
 
     context_started = time.perf_counter()
     context, graph = build_trace_context(config, graph=graph)
     registry.gauge(
-        "trace.context_seconds", "wall seconds in precompute (graph + pools)"
-    ).set(graph_seconds + (time.perf_counter() - context_started))
+        "trace.context_seconds",
+        "wall seconds in precompute after the graph (pools, follower counts)",
+    ).set(time.perf_counter() - context_started)
 
     merge_path = None
     if cache is not None:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 from repro.obs.metrics import MetricsRegistry, NULL_REGISTRY
 from repro.obs.tracing import SpanRecorder
@@ -100,6 +100,7 @@ class EventQueue:
         self._live = 0
         self._dead = 0  # cancelled events still sitting in the heap
         self.cancelled_total = 0
+        self.pushes = 0  # heap insertions, series re-arms included
 
     def __len__(self) -> int:
         return self._live
@@ -118,7 +119,19 @@ class EventQueue:
         event = Event(time, next(self._counter), action, label, self)
         heapq.heappush(self._heap, event)
         self._live += 1
+        self.pushes += 1
         return event
+
+    def reserve(self, count: int) -> int:
+        """Claim ``count`` consecutive sequence numbers; returns the first."""
+        first = next(self._counter)
+        self._counter = itertools.count(first + count)
+        return first
+
+    def _arm(self, event: Event) -> None:
+        """(Re-)insert a series entry keyed by its next step."""
+        heapq.heappush(self._heap, event)
+        self.pushes += 1
 
     def _notify_cancel(self) -> None:
         """An in-heap event was cancelled; update accounting, maybe compact."""
@@ -162,6 +175,84 @@ class EventQueue:
         return None
 
 
+def _spent(*_: object) -> None:
+    """Stands in for the callbacks of a series whose steps have all fired."""
+
+
+class _Series(Event):
+    """Pre-timed steps ``action(0) .. action(k-1)`` behind one heap entry.
+
+    The entry is keyed ``(times[i], first + i)`` for its next unfired step
+    ``i``, where ``first`` is the first of ``k`` reserved sequence numbers,
+    so it pops exactly when per-step event ``i`` would have.  Once a step
+    has fired, the next one runs inline only while its key still sorts
+    before the heap top and stays within the run's ``until`` and
+    ``max_events``; otherwise the entry is re-armed.  Ordinary events
+    therefore interleave with the steps exactly as with ``k`` events.
+    """
+
+    __slots__ = ("_times", "_first", "_index", "_step", "_sim")
+
+    def __init__(
+        self,
+        sim: "Simulator",
+        times: list[float],
+        first: int,
+        step: Callable[[int], None],
+        label: str,
+    ) -> None:
+        super().__init__(times[0], first, self._fire, label, sim._queue)
+        self._sim = sim
+        self._times = times
+        self._first = first
+        self._index = 0
+        self._step = step
+
+    def _fire(self) -> None:
+        sim = self._sim
+        queue = sim._queue
+        times = self._times
+        last = len(times) - 1
+        index = self._index
+        try:
+            self._step(index)
+            until, stop_at, spans = sim._until, sim._stop_at, sim._spans
+            while index < last:
+                time = times[index + 1]
+                if until is not None and time > until:
+                    break
+                # The run loop counts the step that just fired after we
+                # return; it is one of this run's events already.
+                if stop_at is not None and sim._events_processed + 1 >= stop_at:
+                    break
+                top_time = queue.peek_time()
+                if top_time is not None and (
+                    top_time < time
+                    or (top_time == time and queue._heap[0].sequence < self._first + index + 1)
+                ):
+                    break
+                sim._events_processed += 1
+                index += 1
+                queue._live -= 1
+                sim._now = time
+                if spans is not None:
+                    spans.record(self.label, time)
+                self._step(index)
+        finally:
+            # Also on an exception: the unfired steps stay scheduled, as
+            # their per-step events would have.
+            if index < last:
+                self._index = index + 1
+                self.time = times[index + 1]
+                self.sequence = self._first + index + 1
+                queue._arm(self)
+            else:
+                # ``action`` is a bound method of this series: drop the
+                # cycle so the spent series, and everything its step
+                # reaches, is freed at once rather than by the cyclic GC.
+                self.action = self._step = _spent
+
+
 class Simulator:
     """Discrete-event simulator with a forward-only clock.
 
@@ -185,6 +276,9 @@ class Simulator:
         self._now = float(start_time)
         self._events_processed = 0
         self._running = False
+        # The current run's horizon, read by series run-ahead.
+        self._until: Optional[float] = None
+        self._stop_at: Optional[int] = None
         self._metrics = metrics
         self._spans: Optional[SpanRecorder] = None
         if metrics.enabled:
@@ -204,6 +298,11 @@ class Simulator:
         )
         if self._queue.cancelled_total > cancelled.value:
             cancelled.inc(self._queue.cancelled_total - cancelled.value)
+        pushes = registry.counter(
+            "engine.heap_pushes", help="heap insertions (a series counts each re-arm)"
+        )
+        if self._queue.pushes > pushes.value:
+            pushes.inc(self._queue.pushes - pushes.value)
         registry.gauge("engine.queue_depth", help="pending events").set(
             float(len(self._queue))
         )
@@ -225,8 +324,13 @@ class Simulator:
 
     @property
     def pending(self) -> int:
-        """Number of events still scheduled."""
+        """Number of events still scheduled (each unfired series step counts)."""
         return len(self._queue)
+
+    @property
+    def heap_pushes(self) -> int:
+        """Heap insertions so far; a series counts its first arm and each re-arm."""
+        return self._queue.pushes
 
     def schedule(self, delay: float, action: Callable[[], None], label: str = "") -> Event:
         """Schedule ``action`` to fire ``delay`` seconds from now."""
@@ -242,6 +346,31 @@ class Simulator:
             )
         return self._queue.push(time, action, label)
 
+    def schedule_series(
+        self, times: Sequence[float], action: Callable[[int], None], label: str = ""
+    ) -> None:
+        """Schedule ``action(i)`` at ``times[i]`` for every ``i``, in one heap entry.
+
+        Exactly equivalent to calling ``schedule_at(times[i], ...)`` for
+        each ``i`` now: the series reserves ``len(times)`` consecutive
+        sequence numbers, so ties with other events break as before, and
+        every step counts in ``events_processed`` and records its span.
+        ``times`` must be non-decreasing.  A series cannot be cancelled.
+        """
+        steps = [float(time) for time in times]
+        if not steps:
+            return
+        if not steps[0] >= self._now:
+            raise SimulationError(
+                f"cannot schedule into the past (time={steps[0]}, now={self._now})"
+            )
+        if not all(a <= b for a, b in zip(steps, steps[1:])):
+            raise SimulationError("series times must be non-decreasing")
+        queue = self._queue
+        series = _Series(self, steps, queue.reserve(len(steps)), action, label)
+        queue._live += len(steps)
+        queue._arm(series)
+
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
         """Process events in time order.
 
@@ -256,11 +385,12 @@ class Simulator:
         if self._running:
             raise SimulationError("run() is not reentrant")
         self._running = True
-        processed_this_run = 0
+        stop_at = None if max_events is None else self._events_processed + max_events
+        self._until, self._stop_at = until, stop_at
         spans = self._spans
         try:
             while True:
-                if max_events is not None and processed_this_run >= max_events:
+                if stop_at is not None and self._events_processed >= stop_at:
                     break
                 next_time = self._queue.peek_time()
                 if next_time is None:
@@ -275,7 +405,6 @@ class Simulator:
                     spans.record(event.label, event.time)
                 event.action()
                 self._events_processed += 1
-                processed_this_run += 1
             if until is not None and self._now < until:
                 self._now = until
         finally:

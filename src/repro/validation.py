@@ -53,7 +53,7 @@ CLAIMS: tuple[Claim, ...] = (
         "Periscope daily broadcasts grow >3x over the window",
         ">3x",
         lambda r: r.data["periscope_growth"],
-        lambda v: v > 2.8,
+        lambda v: v > 3.0,
     ),
     Claim(
         "meerkat-decline", "fig1",
@@ -161,7 +161,7 @@ CLAIMS: tuple[Claim, ...] = (
         "co-located DC pairs beat nearby pairs by >0.25 s",
         ">0.25 s",
         lambda r: r.data["colocation_gap_s"],
-        lambda v: v > 0.2,
+        lambda v: v > 0.25,
     ),
     Claim(
         "rtmp-smooth", "fig16",

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -126,6 +129,53 @@ class TestWowzaIngest:
     def test_unknown_broadcast_rejected(self, wowza):
         with pytest.raises(KeyError):
             wowza.receive_frame(99, _frame(0))
+
+    def test_end_closes_subscriptions(self, simulator, wowza):
+        class Subscriber:
+            def push_frame(self, broadcast_id, frame, pushed_at):
+                pushed.append(frame.sequence)
+
+        pushed, expiries = [], []
+        wowza.start_broadcast(1, "tok")
+        wowza.subscribe_rtmp(1, Subscriber())
+        wowza.add_expiry_listener(1, lambda bid, version, t: expiries.append(version))
+        wowza.receive_frame(1, _frame(0))
+        wowza.end_broadcast(1)
+        assert (pushed, expiries) == ([0], [1])  # the trailing chunk still notifies
+        assert wowza.rtmp_subscriber_count(1) == 0
+        wowza.end_broadcast(1)
+        assert expiries == [1]
+
+    def test_finished_simulation_freed_without_cyclic_gc(self):
+        """Edges and subscribers hold the ingest server; once the broadcast
+        ends nothing holds them back, so dropping the simulation frees it."""
+        from repro.crawler.delay_crawler import DelayCrawler
+
+        def simulate() -> weakref.ref:
+            simulator = Simulator()
+            wowza = WowzaIngest(WOWZA_DATACENTERS[0], simulator, frames_per_chunk=5)
+            edge = FastlyEdge(
+                FASTLY_DATACENTERS[0], simulator, TransferModel(), np.random.default_rng(0)
+            )
+            wowza.start_broadcast(1, "tok")
+            edge.attach_broadcast(1, wowza)
+            crawler = DelayCrawler(broadcast_id=1, simulator=simulator, stop_after=2.0)
+            crawler.attach_rtmp(wowza)
+            crawler.attach_hls(edge)
+            for i in range(12):
+                simulator.schedule(0.04 * i, lambda i=i: wowza.receive_frame(1, _frame(i)))
+            simulator.schedule(0.5, lambda: wowza.end_broadcast(1))
+            simulator.run()
+            assert len(crawler.frame_server_times) == 12
+            return weakref.ref(wowza)
+
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            assert simulate()() is None
+        finally:
+            if enabled:
+                gc.enable()
 
 
 class TestFastlyEdge:

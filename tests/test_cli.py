@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import re
+import time
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -89,6 +92,27 @@ class TestTraceTarget:
         out = capsys.readouterr().out
         for phase in ("graph", "context", "generate", "merge"):
             assert f"phase {phase}" in out
+
+    def test_trace_phases_do_not_overlap(self, monkeypatch, capsys):
+        """graph + context + generate + merge fits inside "generated in"."""
+        import repro.parallel.generate as generate_module
+
+        build_graph = generate_module.load_or_build_graph
+
+        def slow_build_graph(*args, **kwargs):
+            # A graph phase long enough that counting it twice shows.
+            time.sleep(0.3)
+            return build_graph(*args, **kwargs)
+
+        monkeypatch.setattr(generate_module, "load_or_build_graph", slow_build_graph)
+        assert main(["trace", "--scale", "0.0001", "--seed", "4"]) == 0
+        out = capsys.readouterr().out
+        total = float(re.search(r"^generated in\s+([\d.]+)s", out, re.M).group(1))
+        phases = dict(re.findall(r"^phase (\w+)\s+([\d.]+)s", out, re.M))
+        assert set(phases) == {"graph", "context", "generate", "merge"}
+        assert float(phases["graph"]) >= 0.3
+        # The total prints to 0.1 s and each phase to 0.01 s.
+        assert sum(float(v) for v in phases.values()) <= total + 0.05 + 4 * 0.005
 
     def test_trace_meerkat_app(self, capsys):
         assert main(["trace", "--app", "meerkat", "--scale", "0.001", "--seed", "4"]) == 0

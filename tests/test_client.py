@@ -132,6 +132,16 @@ class TestLastMileLink:
         with pytest.raises(ValueError):
             link.send(4.0)
 
+    def test_out_of_order_batch_rejected(self, rng):
+        link = LastMileLink(rng=rng)
+        with pytest.raises(ValueError):
+            link.send_many(np.array([1.0, 0.5]))
+        link.send(5.0)
+        with pytest.raises(ValueError):
+            link.send_many(np.array([4.0, 6.0]))
+        with pytest.raises(ValueError):
+            link.send_many(np.array([6.0]), size_kb=-1.0)
+
     def test_outage_queues_packets(self, rng):
         link = LastMileLink(
             rng=rng,

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from repro.client.network import LastMileLink, OutageSchedule
 from repro.core.playback import PlaybackConfig, simulate_playback
+from repro.obs.metrics import MetricsRegistry
 from repro.simulation.engine import Simulator
 
 
@@ -154,6 +155,135 @@ class TestSimulatorProperties:
         assert all(t <= horizon for t in fired_split)
         split.run()
         assert fired_split == fired_full
+
+
+# A coarse time grid, so exact ties between events and series steps are common.
+_TICKS = st.integers(0, 12).map(lambda k: k * 0.5)
+_FOLLOW = st.sampled_from([None, 0.0, 0.25, 1.0])
+_EVENT = st.tuples(_TICKS, _FOLLOW, st.one_of(st.none(), st.integers(0, 7)))
+_SERIES = st.tuples(st.lists(_TICKS, min_size=1, max_size=12).map(sorted), _FOLLOW)
+_PLAN = st.lists(
+    st.one_of(_EVENT.map(lambda spec: ("event", spec)), _SERIES.map(lambda spec: ("series", spec))),
+    max_size=10,
+)
+_RUNS = st.lists(
+    st.tuples(st.one_of(st.none(), _TICKS), st.one_of(st.none(), st.integers(0, 6))),
+    max_size=3,
+)
+
+
+def _drive(plan, runs, per_step: bool):
+    """Run one scenario; series go through schedule_series or, as the
+    reference, through one schedule_at per step."""
+    registry = MetricsRegistry()
+    sim = Simulator(metrics=registry)
+    log: list[tuple] = []
+    handles = []
+
+    def fire(label, index, follow, cancel):
+        log.append((sim.now, label, index, sim.events_processed, sim.pending))
+        if follow is not None:
+            # follow=0.25 lands before the next step on the 0.5 grid.
+            sim.schedule(
+                follow,
+                lambda: log.append((sim.now, "follow", label, index)),
+                label=f"follow:{label}",
+            )
+        if cancel is not None and cancel < len(handles):
+            handles[cancel].cancel()
+
+    for position, (kind, spec) in enumerate(plan):
+        label = f"{kind}{position}"
+        if kind == "event":
+            time, follow, cancel = spec
+            handles.append(
+                sim.schedule_at(
+                    time, lambda l=label, f=follow, c=cancel: fire(l, 0, f, c), label=label
+                )
+            )
+            continue
+        times, follow = spec
+
+        def step(index, l=label, f=follow):
+            fire(l, index, f, None)
+
+        if per_step:
+            for index, time in enumerate(times):
+                sim.schedule_at(time, lambda i=index, s=step: s(i), label=label)
+        else:
+            sim.schedule_series(times, step, label=label)
+    for until, max_events in runs:
+        sim.run(until=until, max_events=max_events)
+        log.append(("stop", sim.now, sim.events_processed, sim.pending))
+    sim.run()
+    log.append(("end", sim.now, sim.events_processed, sim.pending))
+    snapshot = registry.snapshot()
+    pushes = snapshot["counters"].pop("engine.heap_pushes")["value"]
+    return log, snapshot, pushes
+
+
+class TestEventSeriesProperties:
+    @given(plan=_PLAN, runs=_RUNS)
+    @settings(max_examples=200, deadline=None)
+    def test_series_equals_per_step_schedule_at(self, plan, runs):
+        """Same firings (time, label, index), same events_processed and
+        pending at every step, same span counts and gaps, whatever the
+        ties, cancellations, follow-up events, horizons and event caps."""
+        log, snapshot, pushes = _drive(plan, runs, per_step=False)
+        reference_log, reference_snapshot, reference_pushes = _drive(plan, runs, per_step=True)
+        assert log == reference_log
+        assert snapshot == reference_snapshot
+        assert pushes <= reference_pushes
+
+
+_GRID = st.integers(0, 400).map(lambda k: k * 0.1)
+_WINDOWS = st.lists(st.tuples(_GRID, st.sampled_from([0.0, 0.3, 2.0, 7.5])), max_size=8)
+
+
+class TestLinkBatchProperties:
+    @given(
+        windows=_WINDOWS,
+        warmup=st.lists(_GRID, max_size=5),
+        sends=st.lists(_GRID, max_size=60),
+        sigma=st.sampled_from([0.0, 0.3, 1.5]),
+        size_kb=st.sampled_from([0.0, 2.5]),
+        seed=st.integers(0, 1000),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_send_many_equals_looped_send(self, windows, warmup, sends, sigma, size_kb, seed):
+        """Same deliveries, FIFO state and rng end state; overlapping
+        outages and heavy jitter exercise the release and FIFO clamps."""
+
+        def link() -> LastMileLink:
+            return LastMileLink(
+                rng=np.random.default_rng(seed),
+                base_delay_s=0.05,
+                jitter_sigma=sigma,
+                outages=OutageSchedule([(start, start + length) for start, length in windows]),
+                serialization_s_per_kb=0.01,
+            )
+
+        batch, loop = link(), link()
+        for time in sorted(warmup):  # FIFO state carried into the batch
+            batch.send(time)
+            loop.send(time)
+        offset = max(warmup, default=0.0)
+        times = np.array(sorted(offset + time for time in sends), dtype=float)
+        got = batch.send_many(times, size_kb=size_kb)
+        want = np.array([loop.send(time, size_kb=size_kb) for time in times], dtype=float)
+        assert got.tobytes() == want.tobytes()
+        assert (batch._last_send, batch._last_delivery) == (loop._last_send, loop._last_delivery)
+        assert batch.rng.bit_generator.state == loop.rng.bit_generator.state
+
+    @given(windows=_WINDOWS, probes=st.lists(st.floats(-5.0, 60.0, allow_nan=False), max_size=40))
+    @settings(max_examples=120, deadline=None)
+    def test_release_times_equals_looped_release_time(self, windows, probes):
+        schedule = OutageSchedule([(start, start + length) for start, length in windows])
+        # Window edges exactly: start is down, end is up.
+        probes = probes + [edge for window in schedule.windows for edge in window]
+        got = schedule.release_times(np.array(probes, dtype=float))
+        want = np.array([schedule.release_time(probe) for probe in probes], dtype=float)
+        assert got.tobytes() == want.tobytes()
 
 
 class TestEdgeConsistencyProperty:

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 
 from repro.simulation.engine import EventQueue, SimulationError, Simulator
@@ -203,3 +206,84 @@ class TestSimulator:
             sim.schedule(delay, lambda: times.append(sim.now))
         sim.run()
         assert times == sorted(times)
+
+
+class TestEventSeries:
+    def test_steps_fire_in_order_with_their_index(self):
+        sim = Simulator()
+        fired = []
+        sim.schedule_series([1.0, 1.0, 2.5], lambda i: fired.append((sim.now, i)), label="s")
+        assert sim.pending == 3
+        sim.run()
+        assert fired == [(1.0, 0), (1.0, 1), (2.5, 2)]
+        assert sim.events_processed == 3
+
+    def test_runs_ahead_without_re_arming_when_nothing_interleaves(self):
+        sim = Simulator()
+        sim.schedule_series([float(i) for i in range(100)], lambda i: None)
+        sim.run()
+        assert sim.events_processed == 100
+        assert sim.heap_pushes == 1
+
+    def test_empty_series_is_a_no_op(self):
+        sim = Simulator()
+        sim.schedule_series([], lambda i: None)
+        assert sim.pending == 0
+        assert sim.heap_pushes == 0
+
+    def test_unordered_times_raise(self):
+        with pytest.raises(SimulationError):
+            Simulator().schedule_series([2.0, 1.0], lambda i: None)
+
+    def test_times_in_the_past_raise(self):
+        with pytest.raises(SimulationError):
+            Simulator(start_time=5.0).schedule_series([4.0, 6.0], lambda i: None)
+
+    def test_failing_step_leaves_later_steps_scheduled(self):
+        """As with per-step events: the raising step is spent and
+        uncounted, the rest fire on the next run."""
+        sim = Simulator()
+        fired = []
+
+        def step(index: int) -> None:
+            if index == 1:
+                raise RuntimeError("boom")
+            fired.append(index)
+
+        sim.schedule_series([1.0, 2.0, 3.0], step)
+        with pytest.raises(RuntimeError):
+            sim.run()
+        assert (fired, sim.events_processed, sim.pending) == ([0], 1, 1)
+        sim.run()
+        assert fired == [0, 2]
+
+    def test_spent_series_releases_its_step_without_cyclic_gc(self):
+        class Payload:
+            pass
+
+        payload = Payload()
+        released = weakref.ref(payload)
+        sim = Simulator()
+        sim.schedule_series([1.0, 2.0], lambda i, p=payload: None)
+        del payload
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            sim.run()
+            assert released() is None
+        finally:
+            if enabled:
+                gc.enable()
+
+    def test_heap_pushes_reach_the_snapshot(self):
+        from repro.obs.metrics import MetricsRegistry
+
+        registry = MetricsRegistry()
+        sim = Simulator(metrics=registry)
+        sim.schedule(1.5, lambda: None)
+        sim.schedule_series([1.0, 2.0, 3.0], lambda i: None)
+        sim.run()
+        counters = registry.snapshot()["counters"]
+        # The ordinary event, the series' first arm, and its re-arm at 2.0.
+        assert counters["engine.heap_pushes"]["value"] == 3
+        assert counters["engine.events_processed"]["value"] == 4
