@@ -14,7 +14,7 @@ from repro.core.playback import PlaybackConfig, simulate_playback
 from repro.core.polling import polling_delays
 from repro.protocols.rtmp import RtmpPacket, parse_rtmp_packet
 from repro.simulation.engine import Simulator
-from repro.social.generation import FollowGraphConfig, generate_follow_graph
+from repro.social.generation import FollowGraphConfig, generate_follow_graph_compiled
 from repro.social.metrics import compute_graph_metrics
 
 
@@ -72,7 +72,7 @@ def test_follow_graph_generation_throughput(benchmark):
 
     def run():
         rng = np.random.default_rng(7)
-        return generate_follow_graph(
+        return generate_follow_graph_compiled(
             FollowGraphConfig(n_nodes=2_000, mean_out_degree=10.0), rng
         )
 

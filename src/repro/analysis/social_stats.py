@@ -5,12 +5,12 @@ from __future__ import annotations
 import numpy as np
 
 from repro.crawler.dataset import BroadcastDataset
-from repro.social.graph import FollowGraph
+from repro.social.graph import CompiledGraph
 from repro.social.metrics import TABLE2_REFERENCE, compute_graph_metrics
 
 
 def table2_rows(
-    graph: FollowGraph,
+    graph: CompiledGraph,
     rng: np.random.Generator,
     clustering_sample: int = 1_000,
     path_sample: int = 50,

@@ -19,7 +19,7 @@ from repro.crawler.dataset import BroadcastDataset, BroadcastRecord
 from repro.platform.broadcasts import Broadcast
 if TYPE_CHECKING:  # break the import cycle: the facade imports repro.service
     from repro.platform.service import LivestreamService
-from repro.social.graph import FollowGraph
+from repro.social.graph import CompiledGraph
 
 
 def anonymize_id(raw_id: int, salt: str = "repro") -> int:
@@ -40,7 +40,7 @@ class BroadcastMonitor:
     def finalize(
         self,
         service: LivestreamService,
-        graph: Optional[FollowGraph] = None,
+        graph: Optional[CompiledGraph] = None,
     ) -> BroadcastRecord:
         """Produce the dataset record once the broadcast has ended."""
         if self.finalized:
@@ -53,7 +53,7 @@ class BroadcastMonitor:
         return record
 
     def _record_from(
-        self, broadcast: Broadcast, graph: Optional[FollowGraph]
+        self, broadcast: Broadcast, graph: Optional[CompiledGraph]
     ) -> BroadcastRecord:
         mobile_ids = [
             view.viewer_id for view in broadcast.views if view.tier.value != "web"
@@ -84,7 +84,7 @@ def monitor_all(
     service: LivestreamService,
     discoveries: dict[int, float],
     days: int,
-    graph: Optional[FollowGraph] = None,
+    graph: Optional[CompiledGraph] = None,
     salt: Optional[str] = None,
 ) -> BroadcastDataset:
     """Finalize monitors for every discovered, ended broadcast."""

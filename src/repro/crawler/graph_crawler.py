@@ -14,10 +14,12 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Optional
+
+import numpy as np
 
 from repro.crawler.rate_limit import TokenBucket
-from repro.social.graph import FollowGraph
+from repro.social.graph import CompiledGraph
 
 #: Periscope-era list endpoints returned pages of this many users.
 DEFAULT_PAGE_SIZE = 100
@@ -31,7 +33,7 @@ class GraphApi:
     limits bound.
     """
 
-    graph: FollowGraph
+    graph: CompiledGraph
     page_size: int = DEFAULT_PAGE_SIZE
     requests_served: int = field(default=0, init=False)
 
@@ -39,12 +41,11 @@ class GraphApi:
         if self.page_size <= 0:
             raise ValueError("page size must be positive")
 
-    def _paged(self, members: Iterable[int], page: int) -> tuple[list[int], bool]:
-        ordered = sorted(members)
+    def _paged(self, members: np.ndarray, page: int) -> tuple[list[int], bool]:
+        """One page of a sorted ID array: the CSR lists are already in order."""
         start = page * self.page_size
-        chunk = ordered[start : start + self.page_size]
-        has_more = start + self.page_size < len(ordered)
-        return chunk, has_more
+        end = start + self.page_size
+        return members[start:end].tolist(), end < len(members)
 
     def follower_page(self, user_id: int, page: int) -> tuple[list[int], bool]:
         """One page of a user's followers; returns (ids, has_more)."""
@@ -61,12 +62,12 @@ class GraphApi:
 class GraphCrawl:
     """Outcome of one crawl: the recovered graph and its cost."""
 
-    crawled: FollowGraph
+    crawled: CompiledGraph
     users_visited: int
     requests_made: int
     frontier_remaining: int
 
-    def edge_coverage(self, truth: FollowGraph) -> float:
+    def edge_coverage(self, truth: CompiledGraph) -> float:
         if truth.edge_count == 0:
             return 1.0
         return self.crawled.edge_count / truth.edge_count
@@ -108,7 +109,7 @@ class FollowGraphCrawler:
         """
         if not seeds:
             raise ValueError("need at least one seed user")
-        crawled = FollowGraph()
+        edges: set[tuple[int, int]] = set()
         visited: set[int] = set()
         frontier: deque[int] = deque(seeds)
         clock = now
@@ -119,7 +120,6 @@ class FollowGraphCrawler:
             if user in visited:
                 continue
             visited.add(user)
-            crawled.add_node(user)
             for fetch, direction in (
                 (self.api.follower_page, "in"),
                 (self.api.followee_page, "out"),
@@ -133,10 +133,7 @@ class FollowGraphCrawler:
                     clock += request_spacing_s
                     members, has_more = fetch(user, page)
                     for other in members:
-                        if direction == "in":
-                            crawled.add_follow(other, user)
-                        else:
-                            crawled.add_follow(user, other)
+                        edges.add((other, user) if direction == "in" else (user, other))
                         if other not in visited:
                             frontier.append(other)
                     if not has_more:
@@ -144,8 +141,10 @@ class FollowGraphCrawler:
                     page += 1
                 if exhausted:
                     break
+        src, dst = np.array(sorted(edges), dtype=np.int64).reshape(-1, 2).T
+        node_ids = np.unique(np.concatenate((np.array(sorted(visited), dtype=np.int64), src, dst)))
         return GraphCrawl(
-            crawled=crawled,
+            crawled=CompiledGraph.from_edge_arrays(src, dst, node_ids=node_ids),
             users_visited=len(visited),
             requests_made=self._requests,
             frontier_remaining=len(frontier),

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.social.graph import CompiledGraph, FollowGraph
+from repro.social.graph import CompiledGraph
 
 #: Packed-pair encoding shared with :meth:`CompiledGraph.from_packed_keys`:
 #: ``(a, b)`` sorts as the int64 ``a << 32 | b``.
@@ -48,7 +48,7 @@ _CHUNK_FRACTION = 0.2
 
 @dataclass
 class FollowGraphConfig:
-    """Knobs for :func:`generate_follow_graph`.
+    """Knobs for :func:`generate_follow_graph_compiled`.
 
     Defaults are calibrated so that the Table 2 metrics land near the
     paper's values (avg total degree ~38.6, clustering ~0.13, short paths,
@@ -321,16 +321,3 @@ def generate_follow_graph_compiled(
     # deduped against [0, n)), so skip the validation pass.
     return CompiledGraph.from_packed_keys(keys, n_nodes=n, validate=False)
 
-
-def generate_follow_graph(
-    config: FollowGraphConfig,
-    rng: np.random.Generator,
-) -> FollowGraph:
-    """Generate a follow graph as a mutable :class:`FollowGraph`.
-
-    Thin wrapper over :func:`generate_follow_graph_compiled` for callers
-    that go on to mutate the graph (the platform simulator's incremental
-    follow/unfollow path); large read-only consumers should use the
-    compiled CSR form directly.
-    """
-    return generate_follow_graph_compiled(config, rng).to_follow_graph()

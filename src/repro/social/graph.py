@@ -1,139 +1,36 @@
-"""Directed follow graphs: a mutable dict-of-sets and a frozen CSR view.
+"""The directed follow graph, as a frozen CSR snapshot.
 
-:class:`FollowGraph` is the mutable representation the platform simulator
-uses for incremental follow/unfollow updates.  :class:`CompiledGraph` is a
-frozen compressed-sparse-row (CSR) snapshot — two int64 arrays per
-direction — that the trace-generation and graph-metrics hot paths consume:
-``follower_count`` is an O(1) array lookup instead of a set materialization,
-and ``followees_of`` is an array slice instead of a frozenset copy.
+:class:`CompiledGraph` holds the graph as compressed sparse rows — two
+int64 arrays per direction — so ``follower_count`` is an O(1) array
+lookup and ``followers_of`` / ``followees_of`` are sorted array slices.
+Every builder (the synthetic generator, the graph crawler, the examples)
+produces one, and every consumer (trace generation, Table 2 metrics,
+notifications) reads one.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterator, Optional
 
 import numpy as np
 
-#: Edge packing for the sort-based CSR fast path: an edge ``(src, dst)``
+#: Edge packing for the sort-based CSR build: an edge ``(src, dst)``
 #: becomes the single int64 ``src << 32 | dst``, so lexicographic
 #: ``(src, dst)`` order equals numeric key order and one ``np.sort`` of
-#: keys replaces a two-pass ``np.lexsort`` plus a gather.  Valid whenever
-#: node indices fit 31 bits (2.1B nodes — far above the paper's 12M).
+#: keys orders each direction.  Node indices must fit 31 bits, so a graph
+#: holds at most 2**31 nodes (the paper's has 12M; the ``node_ids`` array
+#: of a larger one alone would be 16 GiB).
 _PACK_SHIFT = 32
 _PACK_MASK = np.int64((1 << _PACK_SHIFT) - 1)
 _PACK_MAX_NODES = 1 << 31
 
 
-class FollowGraph:
-    """A directed graph where an edge ``u -> v`` means "u follows v".
-
-    Nodes are integer user IDs.  Followers of ``v`` are the in-neighbors;
-    followees of ``u`` are the out-neighbors.  Duplicate edges and
-    self-follows are rejected, matching platform semantics.
-    """
-
-    def __init__(self) -> None:
-        self._followees: dict[int, set[int]] = {}
-        self._followers: dict[int, set[int]] = {}
-        self._edge_count = 0
-
-    # -- construction -------------------------------------------------
-
-    def add_node(self, user_id: int) -> None:
-        """Register a user with no follow relationships yet."""
-        self._followees.setdefault(user_id, set())
-        self._followers.setdefault(user_id, set())
-
-    def add_follow(self, follower: int, followee: int) -> bool:
-        """Add edge ``follower -> followee``; returns False if it existed."""
-        if follower == followee:
-            raise ValueError(f"self-follow not allowed (user {follower})")
-        self.add_node(follower)
-        self.add_node(followee)
-        if followee in self._followees[follower]:
-            return False
-        self._followees[follower].add(followee)
-        self._followers[followee].add(follower)
-        self._edge_count += 1
-        return True
-
-    def remove_follow(self, follower: int, followee: int) -> bool:
-        """Remove edge ``follower -> followee``; returns False if absent."""
-        if follower not in self._followees or followee not in self._followees[follower]:
-            return False
-        self._followees[follower].discard(followee)
-        self._followers[followee].discard(follower)
-        self._edge_count -= 1
-        return True
-
-    # -- queries ------------------------------------------------------
-
-    @property
-    def node_count(self) -> int:
-        return len(self._followees)
-
-    @property
-    def edge_count(self) -> int:
-        return self._edge_count
-
-    def __contains__(self, user_id: int) -> bool:
-        return user_id in self._followees
-
-    def nodes(self) -> Iterator[int]:
-        return iter(self._followees)
-
-    def follows(self, follower: int, followee: int) -> bool:
-        return followee in self._followees.get(follower, ())
-
-    def followers_of(self, user_id: int) -> frozenset[int]:
-        """Users following ``user_id`` (notified when they broadcast)."""
-        return frozenset(self._followers.get(user_id, ()))
-
-    def followees_of(self, user_id: int) -> frozenset[int]:
-        """Users that ``user_id`` follows."""
-        return frozenset(self._followees.get(user_id, ()))
-
-    def follower_count(self, user_id: int) -> int:
-        return len(self._followers.get(user_id, ()))
-
-    def followee_count(self, user_id: int) -> int:
-        return len(self._followees.get(user_id, ()))
-
-    def degree(self, user_id: int) -> int:
-        """Total degree (in + out), used for average-degree statistics."""
-        return self.follower_count(user_id) + self.followee_count(user_id)
-
-    def edges(self) -> Iterator[tuple[int, int]]:
-        """Iterate all ``(follower, followee)`` edges."""
-        for follower, followees in self._followees.items():
-            for followee in followees:
-                yield follower, followee
-
-    def undirected_neighbors(self, user_id: int) -> set[int]:
-        """Neighbors ignoring edge direction (for clustering/path metrics)."""
-        return set(self._followers.get(user_id, ())) | set(self._followees.get(user_id, ()))
-
-    @classmethod
-    def from_edges(cls, edges: Iterable[tuple[int, int]]) -> "FollowGraph":
-        graph = cls()
-        for follower, followee in edges:
-            graph.add_follow(follower, followee)
-        return graph
-
-    def compile(self) -> "CompiledGraph":
-        """Freeze this graph into a :class:`CompiledGraph` CSR snapshot."""
-        node_ids = np.fromiter(self._followees, dtype=np.int64, count=len(self._followees))
-        node_ids.sort()
-        count = self._edge_count
-        src = np.empty(count, dtype=np.int64)
-        dst = np.empty(count, dtype=np.int64)
-        cursor = 0
-        for follower, followees in self._followees.items():
-            for followee in sorted(followees):
-                src[cursor] = follower
-                dst[cursor] = followee
-                cursor += 1
-        return CompiledGraph.from_edge_arrays(src, dst, node_ids=node_ids)
+def _positions(node_ids: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """Indices of ``ids`` in the sorted ``node_ids``; every ID must be there."""
+    positions = np.searchsorted(node_ids, ids)
+    if len(ids) and (positions.max() >= len(node_ids) or np.any(node_ids[positions] != ids)):
+        raise ValueError("edge endpoints outside the node set")
+    return positions
 
 
 class CompiledGraph:
@@ -143,8 +40,7 @@ class CompiledGraph:
     ``indptr``/``indices`` for out-adjacency (followees, sorted per node)
     and ``rindptr``/``rindices`` for in-adjacency (followers).  All arrays
     are int64.  Queries accept *original* user IDs; unknown IDs behave like
-    isolated nodes (count 0, empty adjacency), matching the ``dict.get``
-    defaults of :class:`FollowGraph`.
+    isolated nodes (count 0, empty adjacency).
 
     When ``node_ids`` is exactly ``0..n-1`` (the shape the synthetic
     generator produces), ID-to-index translation is the identity and every
@@ -179,50 +75,30 @@ class CompiledGraph:
         n_nodes: Optional[int] = None,
         node_ids: Optional[np.ndarray] = None,
     ) -> "CompiledGraph":
-        """Compile deduplicated ``src -> dst`` edge arrays into CSR form.
+        """Compile ``src -> dst`` edge arrays into CSR form.
 
         Pass ``n_nodes`` for contiguous ``0..n-1`` node IDs, or an explicit
-        sorted ``node_ids`` array otherwise.  Edges must reference known
-        nodes and contain no duplicates or self-loops.
+        sorted ``node_ids`` array otherwise.  Raises ``ValueError`` when an
+        edge references an unknown node, follows itself, or repeats.
         """
         src = np.asarray(src, dtype=np.int64)
         dst = np.asarray(dst, dtype=np.int64)
         if src.shape != dst.shape:
             raise ValueError("src and dst must have the same length")
+        n = n_nodes if node_ids is None else len(node_ids)
+        if n is None:
+            raise ValueError("need n_nodes or node_ids")
+        if n > _PACK_MAX_NODES:
+            raise ValueError("a follow graph holds at most 2**31 nodes")
         if node_ids is None:
-            if n_nodes is None:
-                raise ValueError("need n_nodes or node_ids")
-            node_ids = np.arange(n_nodes, dtype=np.int64)
-        n = len(node_ids)
-        contiguous = bool(n == 0 or (node_ids[0] == 0 and node_ids[-1] == n - 1))
-        if contiguous:
-            src_idx, dst_idx = src, dst
-        else:
-            src_idx = np.searchsorted(node_ids, src)
-            dst_idx = np.searchsorted(node_ids, dst)
-        if len(src_idx) and (
-            src_idx.min() < 0 or src_idx.max() >= n or dst_idx.min() < 0 or dst_idx.max() >= n
-        ):
-            raise ValueError("edge endpoints outside the node set")
-
-        if n <= _PACK_MAX_NODES:
-            # Sort-based fast path: one int64 sort per direction instead
-            # of a two-key lexsort plus a permutation gather.
-            keys = np.left_shift(src_idx, _PACK_SHIFT)
-            np.bitwise_or(keys, dst_idx, out=keys)
-            return cls._from_packed_keys(keys, node_ids)
-
-        order = np.lexsort((dst_idx, src_idx))
-        indices = dst_idx[order]
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(src_idx, minlength=n), out=indptr[1:])
-
-        rorder = np.lexsort((src_idx, dst_idx))
-        rindices = src_idx[rorder]
-        rindptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(dst_idx, minlength=n), out=rindptr[1:])
-
-        return cls(node_ids, indptr, indices, rindptr, rindices)
+            node_ids = np.arange(n, dtype=np.int64)
+        src_idx = _positions(node_ids, src)
+        dst_idx = _positions(node_ids, dst)
+        if np.any(src_idx == dst_idx):
+            raise ValueError("self-follow edges are not allowed")
+        keys = np.left_shift(src_idx, _PACK_SHIFT)
+        np.bitwise_or(keys, dst_idx, out=keys)
+        return cls._from_packed_keys(keys, node_ids, validate=True)
 
     @classmethod
     def from_packed_keys(
@@ -234,9 +110,9 @@ class CompiledGraph:
         build in place) the packed keys skip edge-array concatenation and
         lexsorts entirely.  ``keys`` is consumed — it is sorted in place
         and its storage reused for one of the output arrays.  Requires
-        ``n_nodes <= 2**31`` and all endpoints within ``[0, n_nodes)``
-        (checked when ``validate``; trusted generators may skip the
-        extra full-array pass).
+        ``n_nodes <= 2**31``, all endpoints within ``[0, n_nodes)`` and
+        no duplicate keys (checked when ``validate``; trusted generators
+        may skip the extra full-array passes).
         """
         if n_nodes > _PACK_MAX_NODES:
             raise ValueError("packed-key compilation requires n_nodes <= 2**31")
@@ -258,9 +134,12 @@ class CompiledGraph:
         n = len(node_ids)
         keys.sort()
         if validate and len(keys):
-            # Sorted, so the src range check is O(1); dst needs one pass.
+            # Sorted, so the src range check is O(1), and a duplicate edge
+            # is two equal neighbors; dst needs one pass.
             if keys[0] < 0 or int(keys[-1] >> _PACK_SHIFT) >= n:
                 raise ValueError("edge endpoints outside the node set")
+            if np.any(keys[1:] == keys[:-1]):
+                raise ValueError("duplicate edges are not allowed")
         indices = np.bitwise_and(keys, _PACK_MASK)
         if validate and len(indices) and int(indices.max()) >= n:
             raise ValueError("edge endpoints outside the node set")
@@ -276,23 +155,6 @@ class CompiledGraph:
         np.bitwise_and(rkeys, _PACK_MASK, out=keys)  # keys := rindices
         rindptr = np.searchsorted(rkeys, bounds)
         return cls(node_ids, indptr, indices, rindptr, keys)
-
-    @classmethod
-    def from_follow_graph(cls, graph: FollowGraph) -> "CompiledGraph":
-        return graph.compile()
-
-    def to_follow_graph(self) -> FollowGraph:
-        """Thaw into a mutable :class:`FollowGraph` (Python-loop cost O(E))."""
-        graph = FollowGraph()
-        ids = self.node_ids.tolist()
-        for node in ids:
-            graph.add_node(node)
-        src_idx = np.repeat(
-            np.arange(len(ids), dtype=np.int64), np.diff(self.indptr)
-        )
-        for u, v in zip(self.node_ids[src_idx].tolist(), self.node_ids[self.indices].tolist()):
-            graph.add_follow(u, v)
-        return graph
 
     # -- index translation --------------------------------------------
 
@@ -412,6 +274,3 @@ class CompiledGraph:
         both = np.union1d(out, inc)
         return set(self.node_ids[both].tolist())
 
-
-#: Either follow-graph representation; read-only consumers accept both.
-AnyFollowGraph = Union[FollowGraph, CompiledGraph]

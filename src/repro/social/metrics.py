@@ -25,14 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.social.graph import (
-    _PACK_MASK,
-    _PACK_MAX_NODES,
-    _PACK_SHIFT,
-    AnyFollowGraph,
-    CompiledGraph,
-    FollowGraph,
-)
+from repro.social.graph import _PACK_MASK, _PACK_SHIFT, CompiledGraph
 
 
 @dataclass(frozen=True)
@@ -99,29 +92,14 @@ BFS_CUTOFF = 50
 _CLUSTERING_GATHER_BUDGET = 1 << 16
 
 
-def _node_array(graph: AnyFollowGraph) -> np.ndarray:
-    """All node IDs as an int64 array (zero-copy for compiled graphs)."""
-    if isinstance(graph, CompiledGraph):
-        return graph.node_ids
-    return np.fromiter(graph.nodes(), dtype=np.int64, count=graph.node_count)
-
-
-def _degree_values(graph: AnyFollowGraph, kind: str) -> np.ndarray:
+def _degree_values(graph: CompiledGraph, kind: str) -> np.ndarray:
     """Per-node degrees of the requested ``kind`` ("in"/"out"/"total")."""
-    if isinstance(graph, CompiledGraph):
-        if kind == "in":
-            return graph.in_degrees()
-        if kind == "out":
-            return graph.out_degrees()
-        if kind == "total":
-            return graph.total_degrees()
-        raise ValueError(f"unknown degree kind {kind!r}")
     if kind == "in":
-        return np.array([graph.follower_count(n) for n in graph.nodes()])
+        return graph.in_degrees()
     if kind == "out":
-        return np.array([graph.followee_count(n) for n in graph.nodes()])
+        return graph.out_degrees()
     if kind == "total":
-        return np.array([graph.degree(n) for n in graph.nodes()])
+        return graph.total_degrees()
     raise ValueError(f"unknown degree kind {kind!r}")
 
 
@@ -160,22 +138,19 @@ class _UndirectedCSR:
     above: np.ndarray
 
     @classmethod
-    def of(cls, graph: AnyFollowGraph) -> "_UndirectedCSR":
+    def of(cls, graph: CompiledGraph) -> "_UndirectedCSR":
         """Pack both directions of every edge as ``a << 32 | b`` keys; one
         sort dedupes them, one ``searchsorted`` cuts the rows."""
-        compiled = graph if isinstance(graph, CompiledGraph) else graph.compile()
-        n = compiled.node_count
-        if n > _PACK_MAX_NODES:
-            raise ValueError("undirected CSR requires at most 2**31 nodes")
-        src = np.repeat(np.arange(n, dtype=np.int64), compiled.out_degrees())
-        dst = compiled.indices
+        n = graph.node_count
+        src = np.repeat(np.arange(n, dtype=np.int64), graph.out_degrees())
+        dst = graph.indices
         keys = _sorted_unique(
             np.concatenate(((src << _PACK_SHIFT) | dst, (dst << _PACK_SHIFT) | src))
         )
         rows = np.arange(n + 1, dtype=np.int64)
         indptr = np.searchsorted(keys, rows << _PACK_SHIFT)
         above = np.searchsorted(keys, (rows[:-1] << _PACK_SHIFT) | rows[:-1])
-        return cls(compiled.node_ids, indptr, keys & _PACK_MASK, above)
+        return cls(graph.node_ids, indptr, keys & _PACK_MASK, above)
 
     def neighbors(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The neighbor lists of ``rows`` laid end to end, and their lengths."""
@@ -216,7 +191,7 @@ def _clustering_coefficients(csr: _UndirectedCSR, rows: np.ndarray) -> np.ndarra
     return 2.0 * links / np.maximum(k * (k - 1), 1)
 
 
-def local_clustering(graph: AnyFollowGraph, node: int) -> float:
+def local_clustering(graph: CompiledGraph, node: int) -> float:
     """Undirected local clustering coefficient of ``node`` (0.0 if unknown).
 
     Builds the undirected CSR of the whole graph, so score many nodes with
@@ -233,9 +208,8 @@ def local_clustering(graph: AnyFollowGraph, node: int) -> float:
     return float(_clustering_coefficients(csr, rows)[0])
 
 
-def _mean_clustering(
-    csr: _UndirectedCSR, nodes: np.ndarray, rng: np.random.Generator, sample_size: int
-) -> float:
+def _mean_clustering(csr: _UndirectedCSR, rng: np.random.Generator, sample_size: int) -> float:
+    nodes = csr.node_ids
     if len(nodes) == 0:
         return 0.0
     if len(nodes) <= sample_size:
@@ -246,26 +220,19 @@ def _mean_clustering(
 
 
 def average_clustering(
-    graph: AnyFollowGraph,
+    graph: CompiledGraph,
     rng: np.random.Generator,
     sample_size: int = 1_000,
 ) -> float:
-    """Average local clustering over a random node sample.
+    """Average local clustering over a random sample of the sorted node IDs.
 
-    The sample is drawn from the graph's own node order (insertion order
-    for a :class:`FollowGraph`), so a seed picks the same nodes whichever
-    representation the graph has.  Hub handling as in
-    :func:`local_clustering`.
+    Hub handling as in :func:`local_clustering`.
     """
-    return _mean_clustering(_UndirectedCSR.of(graph), _node_array(graph), rng, sample_size)
+    return _mean_clustering(_UndirectedCSR.of(graph), rng, sample_size)
 
 
-def _mean_path_length(
-    csr: _UndirectedCSR,
-    nodes: np.ndarray,
-    rng: np.random.Generator,
-    sample_size: int,
-) -> float:
+def _mean_path_length(csr: _UndirectedCSR, rng: np.random.Generator, sample_size: int) -> float:
+    nodes = csr.node_ids
     if len(nodes) < 2:
         return 0.0
     sources = (
@@ -291,7 +258,7 @@ def _mean_path_length(
 
 
 def average_path_length(
-    graph: AnyFollowGraph,
+    graph: CompiledGraph,
     rng: np.random.Generator,
     sample_size: int = 50,
 ) -> float:
@@ -302,12 +269,11 @@ def average_path_length(
     excluded, and so are nodes more than :data:`BFS_CUTOFF` hops from a
     source.
     """
-    return _mean_path_length(_UndirectedCSR.of(graph), _node_array(graph), rng, sample_size)
+    return _mean_path_length(_UndirectedCSR.of(graph), rng, sample_size)
 
 
-#: Above this many nodes the exact all-edges assortativity scan (a Python
-#: loop over every directed edge) becomes the bottleneck of Table 2 at
-#: scale >= 0.01; the estimator samples source nodes instead.
+#: Above this many nodes Table 2 estimates assortativity from a sample of
+#: source nodes instead of scanning every directed edge.
 ASSORTATIVITY_EXACT_MAX_NODES = 50_000
 
 #: Source nodes drawn by the sampling estimator — every out-edge of a
@@ -327,13 +293,21 @@ def _assortativity_of_arrays(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.corrcoef(x, y)[0, 1])
 
 
-def _compiled_assortativity(
+def degree_assortativity(
     graph: CompiledGraph,
-    rng: np.random.Generator | None,
-    max_exact_nodes: int,
-    source_sample: int,
+    rng: np.random.Generator | None = None,
+    max_exact_nodes: int = ASSORTATIVITY_EXACT_MAX_NODES,
+    source_sample: int = ASSORTATIVITY_SOURCE_SAMPLE,
 ) -> float:
-    """Assortativity over CSR arrays: no per-edge Python loop either way."""
+    """Pearson correlation of total degree across directed edges.
+
+    Exact over all edges up to ``max_exact_nodes`` nodes.  Above that
+    (and when a seeded ``rng`` is provided) it estimates from the
+    out-edges of a uniform source-node sample — every edge has the same
+    inclusion probability, so the estimator is unbiased, and the seeded
+    rng keeps it deterministic.  Pass ``rng=None`` to force the exact
+    path at any size.
+    """
     degrees = graph.total_degrees()
     if rng is None or graph.node_count <= max_exact_nodes:
         src_idx = np.repeat(
@@ -349,60 +323,8 @@ def _compiled_assortativity(
     return _assortativity_of_arrays(degrees[src_idx], degrees[targets])
 
 
-def _assortativity_over(
-    graph: FollowGraph, edge_pairs
-) -> float:
-    """Pearson correlation of total degree over the given (u, v) edges."""
-    degree_cache: dict[int, int] = {}
-
-    def degree_of(node: int) -> int:
-        cached = degree_cache.get(node)
-        if cached is None:
-            cached = degree_cache[node] = graph.degree(node)
-        return cached
-
-    source_degrees = []
-    target_degrees = []
-    for follower, followee in edge_pairs:
-        source_degrees.append(degree_of(follower))
-        target_degrees.append(degree_of(followee))
-    return _assortativity_of_arrays(
-        np.asarray(source_degrees), np.asarray(target_degrees)
-    )
-
-
-def degree_assortativity(
-    graph: AnyFollowGraph,
-    rng: np.random.Generator | None = None,
-    max_exact_nodes: int = ASSORTATIVITY_EXACT_MAX_NODES,
-    source_sample: int = ASSORTATIVITY_SOURCE_SAMPLE,
-) -> float:
-    """Pearson correlation of total degree across directed edges.
-
-    Exact over all edges up to ``max_exact_nodes`` nodes.  Above that
-    (and when a seeded ``rng`` is provided) it estimates from the
-    out-edges of a uniform source-node sample — every edge has the same
-    inclusion probability, so the estimator is unbiased, and the seeded
-    rng keeps it deterministic.  Pass ``rng=None`` to force the exact
-    path at any size.  Compiled graphs take a fully vectorized path.
-    """
-    if isinstance(graph, CompiledGraph):
-        return _compiled_assortativity(graph, rng, max_exact_nodes, source_sample)
-    if rng is not None and graph.node_count > max_exact_nodes:
-        nodes = _node_array(graph)
-        sample_size = min(source_sample, len(nodes))
-        sources = rng.choice(nodes, size=sample_size, replace=False)
-        edge_pairs = (
-            (int(source), followee)
-            for source in sources
-            for followee in sorted(graph.followees_of(int(source)))
-        )
-        return _assortativity_over(graph, edge_pairs)
-    return _assortativity_over(graph, graph.edges())
-
-
 def compute_graph_metrics(
-    graph: AnyFollowGraph,
+    graph: CompiledGraph,
     rng: np.random.Generator,
     clustering_sample: int = 1_000,
     path_sample: int = 50,
@@ -412,20 +334,19 @@ def compute_graph_metrics(
     nodes = graph.node_count
     edges = graph.edge_count
     avg_degree = 2.0 * edges / nodes if nodes else 0.0
-    node_ids = _node_array(graph)
     undirected = _UndirectedCSR.of(graph)
     return GraphMetrics(
         nodes=nodes,
         edges=edges,
         avg_degree=avg_degree,
-        clustering_coefficient=_mean_clustering(undirected, node_ids, rng, clustering_sample),
-        avg_path_length=_mean_path_length(undirected, node_ids, rng, path_sample),
+        clustering_coefficient=_mean_clustering(undirected, rng, clustering_sample),
+        avg_path_length=_mean_path_length(undirected, rng, path_sample),
         assortativity=degree_assortativity(graph, rng),
     )
 
 
 def degree_ccdf(
-    graph: AnyFollowGraph, kind: str = "in"
+    graph: CompiledGraph, kind: str = "in"
 ) -> tuple[np.ndarray, np.ndarray]:
     """Complementary CDF of node degree (Figure 7's x-axis spans decades).
 
@@ -442,7 +363,7 @@ def degree_ccdf(
 
 
 def estimate_powerlaw_alpha(
-    graph: AnyFollowGraph, kind: str = "in", x_min: int = 5
+    graph: CompiledGraph, kind: str = "in", x_min: int = 5
 ) -> float:
     """Discrete MLE power-law exponent of the degree tail.
 

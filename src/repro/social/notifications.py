@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.social.graph import FollowGraph
+from repro.social.graph import CompiledGraph
 
 
 @dataclass
@@ -28,7 +28,7 @@ class NotificationService:
         than per-follower, keeping large-celebrity broadcasts cheap.
     """
 
-    graph: FollowGraph
+    graph: CompiledGraph
     open_rate: float = 0.02
     max_sampled_followers: int = 10_000
     notifications_sent: int = field(default=0, init=False)
@@ -37,8 +37,8 @@ class NotificationService:
         if not 0 <= self.open_rate <= 1:
             raise ValueError(f"open_rate must be within [0, 1], got {self.open_rate}")
 
-    def notify_followers(self, broadcaster: int) -> frozenset[int]:
-        """Return the set of followers notified for a new broadcast."""
+    def notify_followers(self, broadcaster: int) -> np.ndarray:
+        """The followers notified for a new broadcast, as a sorted ID array."""
         followers = self.graph.followers_of(broadcaster)
         self.notifications_sent += len(followers)
         return followers
@@ -50,9 +50,9 @@ class NotificationService:
     ) -> list[int]:
         """Followers who open the notification and join the broadcast."""
         followers = self.notify_followers(broadcaster)
-        if not followers:
+        if len(followers) == 0:
             return []
-        follower_list = sorted(followers)  # deterministic order for the RNG
+        follower_list = followers.tolist()  # sorted: a deterministic RNG order
         if len(follower_list) <= self.max_sampled_followers:
             mask = rng.random(len(follower_list)) < self.open_rate
             return [f for f, joined in zip(follower_list, mask) if joined]

@@ -36,7 +36,7 @@ from repro.crawler.dataset import SECONDS_PER_DAY, BroadcastColumns, BroadcastDa
 from repro.simulation.distributions import zipf_weights
 from repro.simulation.randomness import RandomStreams, substream_seed
 from repro.social.generation import FollowGraphConfig, generate_follow_graph_compiled
-from repro.social.graph import AnyFollowGraph, CompiledGraph
+from repro.social.graph import CompiledGraph
 from repro.workload.arrivals import daily_arrival_times
 from repro.workload.broadcast_model import BroadcastParamsModel
 from repro.workload.growth import GrowthModel, MEERKAT_GROWTH, PERISCOPE_GROWTH
@@ -200,7 +200,7 @@ class WorkloadTrace:
         self,
         config: TraceConfig,
         dataset: BroadcastDataset,
-        graph: Union[Optional[AnyFollowGraph], Callable[[], Optional[AnyFollowGraph]]],
+        graph: Union[Optional[CompiledGraph], Callable[[], Optional[CompiledGraph]]],
         broadcaster_ids: np.ndarray,
         viewer_ids: np.ndarray,
     ) -> None:
@@ -209,14 +209,14 @@ class WorkloadTrace:
         self.broadcaster_ids = broadcaster_ids  # pool of broadcaster user IDs
         self.viewer_ids = viewer_ids  # pool of registered mobile viewer IDs
         if callable(graph):
-            self._graph: Optional[AnyFollowGraph] = None
-            self._graph_factory: Optional[Callable[[], Optional[AnyFollowGraph]]] = graph
+            self._graph: Optional[CompiledGraph] = None
+            self._graph_factory: Optional[Callable[[], Optional[CompiledGraph]]] = graph
         else:
             self._graph = graph
             self._graph_factory = None
 
     @property
-    def graph(self) -> Optional[AnyFollowGraph]:
+    def graph(self) -> Optional[CompiledGraph]:
         if self._graph_factory is not None:
             self._graph = self._graph_factory()
             self._graph_factory = None
@@ -269,7 +269,7 @@ def build_follow_graph(config: TraceConfig) -> Optional[CompiledGraph]:
 def build_trace_context(
     config: TraceConfig,
     graph: object = _BUILD_GRAPH,
-) -> tuple[ShardContext, Optional[AnyFollowGraph]]:
+) -> tuple[ShardContext, Optional[CompiledGraph]]:
     """Deterministic per-run precompute: pools, activity CDFs, graph.
 
     Draws only from the ``trace/{app}/pools`` and ``graph`` substreams, so
@@ -290,14 +290,8 @@ def build_trace_context(
 
     if graph is _BUILD_GRAPH:
         graph = build_follow_graph(config)
-    if isinstance(graph, CompiledGraph):
+    if graph is not None:
         follower_counts = graph.in_degree_of(broadcaster_ids)
-    elif graph is not None:
-        follower_counts = np.fromiter(
-            (graph.follower_count(int(b)) for b in broadcaster_ids),
-            dtype=np.int64,
-            count=len(broadcaster_ids),
-        )
     else:
         follower_counts = np.zeros(len(broadcaster_ids), dtype=np.int64)
 

@@ -9,7 +9,7 @@ from repro.platform.service import LivestreamService
 from repro.platform.users import UserRegistry
 from repro.simulation.engine import Simulator
 from repro.simulation.randomness import RandomStreams
-from repro.social.generation import FollowGraphConfig, generate_follow_graph
+from repro.social.generation import FollowGraphConfig, generate_follow_graph_compiled
 
 
 @pytest.fixture
@@ -30,7 +30,9 @@ def simulator() -> Simulator:
 @pytest.fixture
 def small_graph(rng):
     """A 300-node follow graph (fast to generate, big enough for metrics)."""
-    return generate_follow_graph(FollowGraphConfig(n_nodes=300, mean_out_degree=8.0), rng)
+    return generate_follow_graph_compiled(
+        FollowGraphConfig(n_nodes=300, mean_out_degree=8.0), rng
+    )
 
 
 @pytest.fixture

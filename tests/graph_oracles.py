@@ -1,6 +1,9 @@
-"""Reference Table 2 clustering and path-length estimates, one node at a time.
+"""Reference follow graph and Table 2 estimates, one node at a time.
 
-These are the plain per-node loops over ``undirected_neighbors`` sets that
+:class:`DictGraph` is the follow graph as a mutable dict of follower and
+followee sets: the plain reference the CSR
+:class:`~repro.social.graph.CompiledGraph` is tested against.  The metric
+functions are the per-node loops over ``undirected_neighbors`` sets that
 :mod:`repro.social.metrics` replaced with numpy passes over one undirected
 CSR.  They are slow and easy to check by eye, so the tests hold the numpy
 implementations exactly equal to them.  Node sampling mirrors the
@@ -10,18 +13,90 @@ library's: the same seeded rng draws the same nodes here and there.
 from __future__ import annotations
 
 from collections import deque
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from repro.social import metrics
-from repro.social.graph import AnyFollowGraph
+from repro.social.graph import CompiledGraph
 
 
-def _nodes(graph: AnyFollowGraph) -> np.ndarray:
+class DictGraph:
+    """A directed follow graph as dicts of sets; ``u -> v`` means u follows v.
+
+    Nodes keep insertion order.  A self-follow raises and a repeated
+    follow is ignored, the platform's semantics.
+    """
+
+    def __init__(self) -> None:
+        self._followees: dict[int, set[int]] = {}
+        self._followers: dict[int, set[int]] = {}
+
+    def add_node(self, user_id: int) -> None:
+        self._followees.setdefault(user_id, set())
+        self._followers.setdefault(user_id, set())
+
+    def add_follow(self, follower: int, followee: int) -> None:
+        if follower == followee:
+            raise ValueError(f"self-follow not allowed (user {follower})")
+        self.add_node(follower)
+        self.add_node(followee)
+        self._followees[follower].add(followee)
+        self._followers[followee].add(follower)
+
+    @classmethod
+    def from_edges(cls, edges: Iterable[tuple[int, int]]) -> "DictGraph":
+        graph = cls()
+        for follower, followee in edges:
+            graph.add_follow(follower, followee)
+        return graph
+
+    @property
+    def node_count(self) -> int:
+        return len(self._followees)
+
+    @property
+    def edge_count(self) -> int:
+        return sum(len(followees) for followees in self._followees.values())
+
+    def nodes(self) -> Iterator[int]:
+        return iter(self._followees)
+
+    def follows(self, follower: int, followee: int) -> bool:
+        return followee in self._followees.get(follower, ())
+
+    def followers_of(self, user_id: int) -> set[int]:
+        return set(self._followers.get(user_id, ()))
+
+    def followees_of(self, user_id: int) -> set[int]:
+        return set(self._followees.get(user_id, ()))
+
+    def follower_count(self, user_id: int) -> int:
+        return len(self._followers.get(user_id, ()))
+
+    def edges(self) -> list[tuple[int, int]]:
+        """Every ``(follower, followee)`` edge, sorted."""
+        return sorted(
+            (follower, followee)
+            for follower, followees in self._followees.items()
+            for followee in followees
+        )
+
+    def undirected_neighbors(self, user_id: int) -> set[int]:
+        return self.followers_of(user_id) | self.followees_of(user_id)
+
+    def compile(self) -> CompiledGraph:
+        """The same graph as a :class:`CompiledGraph` (sorted node IDs)."""
+        src, dst = np.array(self.edges(), dtype=np.int64).reshape(-1, 2).T
+        node_ids = np.array(sorted(self._followees), dtype=np.int64)
+        return CompiledGraph.from_edge_arrays(src, dst, node_ids=node_ids)
+
+
+def _nodes(graph: CompiledGraph) -> np.ndarray:
     return np.fromiter(graph.nodes(), dtype=np.int64, count=graph.node_count)
 
 
-def local_clustering(graph: AnyFollowGraph, node: int) -> float:
+def local_clustering(graph: CompiledGraph, node: int) -> float:
     """Neighbor pairs linked to each other, over all neighbor pairs.
 
     Pairs count from the earlier neighbor in sorted order; a neighbor with
@@ -44,7 +119,7 @@ def local_clustering(graph: AnyFollowGraph, node: int) -> float:
 
 
 def average_clustering(
-    graph: AnyFollowGraph, rng: np.random.Generator, sample_size: int = 1_000
+    graph: CompiledGraph, rng: np.random.Generator, sample_size: int = 1_000
 ) -> float:
     nodes = _nodes(graph)
     if len(nodes) == 0:
@@ -56,7 +131,7 @@ def average_clustering(
     return float(np.mean([local_clustering(graph, int(node)) for node in sample]))
 
 
-def bfs_distances(graph: AnyFollowGraph, source: int, cutoff: int = 50) -> dict[int, int]:
+def bfs_distances(graph: CompiledGraph, source: int, cutoff: int = 50) -> dict[int, int]:
     """Undirected BFS distances from ``source``; nodes ``cutoff`` deep are
     not expanded."""
     distances = {source: 0}
@@ -74,7 +149,7 @@ def bfs_distances(graph: AnyFollowGraph, source: int, cutoff: int = 50) -> dict[
 
 
 def average_path_length(
-    graph: AnyFollowGraph,
+    graph: CompiledGraph,
     rng: np.random.Generator,
     sample_size: int = 50,
     cutoff: int = 50,

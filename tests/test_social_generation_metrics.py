@@ -11,12 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.social import metrics as social_metrics
-from repro.social.generation import (
-    FollowGraphConfig,
-    generate_follow_graph,
-    generate_follow_graph_compiled,
-)
-from repro.social.graph import CompiledGraph, FollowGraph
+from repro.social.generation import FollowGraphConfig, generate_follow_graph_compiled
+from repro.social.graph import CompiledGraph
 from repro.social.metrics import (
     TABLE2_REFERENCE,
     average_clustering,
@@ -33,31 +29,36 @@ def rng():
     return np.random.default_rng(7)
 
 
+def _compiled(edges) -> CompiledGraph:
+    """``edges`` through the dict-of-sets oracle (which drops repeats)."""
+    return oracle.DictGraph.from_edges(edges).compile()
+
+
 class TestGeneration:
     def test_node_count(self, rng):
-        graph = generate_follow_graph(FollowGraphConfig(n_nodes=500), rng)
+        graph = generate_follow_graph_compiled(FollowGraphConfig(n_nodes=500), rng)
         assert graph.node_count == 500
 
     def test_mean_degree_near_target(self, rng):
         config = FollowGraphConfig(n_nodes=2000, mean_out_degree=10.0)
-        graph = generate_follow_graph(config, rng)
+        graph = generate_follow_graph_compiled(config, rng)
         avg_total_degree = 2.0 * graph.edge_count / graph.node_count
         assert avg_total_degree == pytest.approx(20.0, rel=0.35)
 
     def test_heavy_tailed_in_degree(self, rng):
-        graph = generate_follow_graph(FollowGraphConfig(n_nodes=2000), rng)
+        graph = generate_follow_graph_compiled(FollowGraphConfig(n_nodes=2000), rng)
         in_degrees = sorted(graph.follower_count(n) for n in graph.nodes())
         median = in_degrees[len(in_degrees) // 2]
         assert in_degrees[-1] > 10 * max(median, 1)  # celebrities exist
 
     def test_deterministic_for_same_seed(self):
         config = FollowGraphConfig(n_nodes=300)
-        a = generate_follow_graph(config, np.random.default_rng(5))
-        b = generate_follow_graph(config, np.random.default_rng(5))
+        a = generate_follow_graph_compiled(config, np.random.default_rng(5))
+        b = generate_follow_graph_compiled(config, np.random.default_rng(5))
         assert set(a.edges()) == set(b.edges())
 
     def test_no_self_loops(self, rng):
-        graph = generate_follow_graph(FollowGraphConfig(n_nodes=400), rng)
+        graph = generate_follow_graph_compiled(FollowGraphConfig(n_nodes=400), rng)
         assert all(u != v for u, v in graph.edges())
 
     # Edge counts for fixed (config, seed) pairs.  These pin the triadic
@@ -72,17 +73,22 @@ class TestGeneration:
         config = FollowGraphConfig(n_nodes=n_nodes)
         compiled = generate_follow_graph_compiled(config, np.random.default_rng(seed))
         assert compiled.edge_count == expected_edges
-        mutable = generate_follow_graph(config, np.random.default_rng(seed))
-        assert mutable.edge_count == expected_edges
 
     def test_compiled_and_mutable_paths_agree(self):
+        # The generator's packed-key build and a dict-of-sets copy compiled
+        # through from_edge_arrays give the same CSR arrays.
         config = FollowGraphConfig(n_nodes=400)
         compiled = generate_follow_graph_compiled(config, np.random.default_rng(3))
-        mutable = generate_follow_graph(config, np.random.default_rng(3))
-        assert isinstance(compiled, CompiledGraph)
-        assert set(compiled.edges()) == set(mutable.edges())
-        for node in mutable.nodes():
+        edges = list(compiled.edges())
+        mutable = oracle.DictGraph()
+        for index in np.random.default_rng(4).permutation(len(edges)):
+            mutable.add_follow(*edges[index])
+        for node in compiled.nodes():
+            mutable.add_node(node)
             assert compiled.follower_count(node) == mutable.follower_count(node)
+        recompiled = mutable.compile()
+        for name in ("node_ids", "indptr", "indices", "rindptr", "rindices"):
+            assert np.array_equal(getattr(recompiled, name), getattr(compiled, name)), name
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -96,7 +102,7 @@ class TestGeneration:
 
     def test_table2_shape_holds(self, rng):
         """The generated graph shows the paper's structural signature."""
-        graph = generate_follow_graph(FollowGraphConfig(n_nodes=3000), rng)
+        graph = generate_follow_graph_compiled(FollowGraphConfig(n_nodes=3000), rng)
         metrics = compute_graph_metrics(graph, rng, clustering_sample=300, path_sample=20)
         assert metrics.assortativity < 0.05  # Twitter-like, not Facebook-like
         assert 0.02 < metrics.clustering_coefficient < 0.4
@@ -105,35 +111,35 @@ class TestGeneration:
 
 class TestMetrics:
     def test_local_clustering_triangle(self):
-        graph = FollowGraph.from_edges([(1, 2), (2, 3), (3, 1)])
+        graph = _compiled([(1, 2), (2, 3), (3, 1)])
         assert local_clustering(graph, 1) == pytest.approx(1.0)
 
     def test_local_clustering_star_is_zero(self):
-        graph = FollowGraph.from_edges([(1, 2), (1, 3), (1, 4)])
+        graph = _compiled([(1, 2), (1, 3), (1, 4)])
         assert local_clustering(graph, 1) == 0.0
 
     def test_local_clustering_degree_one(self):
-        graph = FollowGraph.from_edges([(1, 2)])
+        graph = _compiled([(1, 2)])
         assert local_clustering(graph, 1) == 0.0
 
     def test_average_clustering_bounds(self, rng):
-        graph = FollowGraph.from_edges([(1, 2), (2, 3), (3, 1), (3, 4)])
+        graph = _compiled([(1, 2), (2, 3), (3, 1), (3, 4)])
         value = average_clustering(graph, rng)
         assert 0.0 <= value <= 1.0
 
     def test_path_length_on_chain(self, rng):
-        graph = FollowGraph.from_edges([(1, 2), (2, 3), (3, 4)])
+        graph = _compiled([(1, 2), (2, 3), (3, 4)])
         # Undirected chain of 4: mean pairwise distance = 20/12.
         assert average_path_length(graph, rng, sample_size=4) == pytest.approx(20 / 12)
 
     def test_assortativity_negative_for_star(self):
         """A star graph is maximally disassortative."""
         edges = [(0, hub) for hub in [99]] + [(i, 99) for i in range(1, 30)]
-        graph = FollowGraph.from_edges(edges)
+        graph = _compiled(edges)
         assert degree_assortativity(graph) <= 0.0
 
     def test_assortativity_zero_on_tiny_graph(self):
-        graph = FollowGraph.from_edges([(1, 2)])
+        graph = _compiled([(1, 2)])
         assert degree_assortativity(graph) == 0.0
 
     def test_compute_graph_metrics_row(self, rng, small_graph):
@@ -156,7 +162,7 @@ class TestMetrics:
 class TestSampledAssortativity:
     @pytest.fixture(scope="class")
     def graph(self):
-        return generate_follow_graph(
+        return generate_follow_graph_compiled(
             FollowGraphConfig(n_nodes=800), np.random.default_rng(31)
         )
 
@@ -205,18 +211,18 @@ class TestClusteringHubGuard:
         from repro.social import metrics as social_metrics
 
         edges = [(1, 2), (2, 3), (3, 1)]  # a triangle: clustering 1.0
-        graph = FollowGraph.from_edges(edges)
+        graph = _compiled(edges)
         assert local_clustering(graph, 1) == 1.0
         monkeypatch.setattr(social_metrics, "CLUSTERING_HUB_CUTOFF", 0)
         assert local_clustering(graph, 1) == 0.0
 
 
-def _relabelled(graph: CompiledGraph, seed: int) -> FollowGraph:
-    """``graph`` as a :class:`FollowGraph` with sparse, shuffled IDs whose
+def _relabelled(graph: CompiledGraph, seed: int) -> oracle.DictGraph:
+    """``graph`` as a dict-of-sets graph with sparse, shuffled IDs whose
     insertion order differs from their sorted order."""
     rng = np.random.default_rng(seed)
     ids = 10_000 + 37 * rng.permutation(graph.node_count)
-    relabelled = FollowGraph()
+    relabelled = oracle.DictGraph()
     for index in rng.permutation(graph.node_count):
         relabelled.add_node(int(ids[index]))
     src, dst = graph.edge_arrays()
@@ -259,22 +265,29 @@ class TestNumpyMetricsMatchOracles:
 
     @pytest.mark.parametrize("sample_size", [40, 1_000])
     def test_follow_graph_with_shuffled_sparse_ids(self, compiled, sample_size):
-        graph = _relabelled(compiled, seed=3)
-        assert list(graph.nodes()) != sorted(graph.nodes())
+        relabelled = _relabelled(compiled, seed=3)
+        assert list(relabelled.nodes()) != sorted(relabelled.nodes())
+        graph = relabelled.compile()
         _assert_matches_oracle(graph, seed=8, sample_size=sample_size)
-        # Either representation of one graph gives the same numbers.
-        _assert_matches_oracle(graph.compile(), seed=8, sample_size=sample_size)
+        # Only the labels changed, so the unsampled metrics match the
+        # original's (up to the order of a float sum).
+        assert average_clustering(graph, np.random.default_rng(0)) == pytest.approx(
+            average_clustering(compiled, np.random.default_rng(0)), abs=1e-12
+        )
+        assert degree_assortativity(graph) == pytest.approx(
+            degree_assortativity(compiled), abs=1e-12
+        )
 
     def test_disconnected_components_and_isolated_nodes(self):
         edges = [(1, 2), (2, 3), (3, 1), (3, 4), (10, 11), (11, 12), (20, 21)]
-        graph = FollowGraph.from_edges(edges)
+        mutable = oracle.DictGraph.from_edges(edges)
         for lonely in (7, 30, 15):
-            graph.add_node(lonely)
-        compiled = graph.compile()
-        for candidate in (graph, compiled):
-            for seed in range(3):
-                _assert_matches_oracle(candidate, seed, sample_size=5)
-                _assert_matches_oracle(candidate, seed, sample_size=100)
+            mutable.add_node(lonely)
+        graph = mutable.compile()
+        assert graph.node_count == 12
+        for seed in range(3):
+            _assert_matches_oracle(graph, seed, sample_size=5)
+            _assert_matches_oracle(graph, seed, sample_size=100)
         # Only reachable ordered pairs count: 12 pairs summing to 16 hops
         # in {1, 2, 3, 4}, 6 summing to 8 in {10, 11, 12}, 2 in {20, 21}.
         full = average_path_length(graph, np.random.default_rng(0), sample_size=100)
@@ -283,9 +296,9 @@ class TestNumpyMetricsMatchOracles:
     def test_mutual_follows_are_one_undirected_neighbor(self):
         # 1 and 2 follow each other, and so do 2 and 3: node 1 has two
         # neighbors {2, 3} that are linked once, so clustering is exactly 1.
-        graph = FollowGraph.from_edges([(1, 2), (2, 1), (1, 3), (2, 3), (3, 2)])
+        graph = _compiled([(1, 2), (2, 1), (1, 3), (2, 3), (3, 2)])
+        assert graph.edge_count == 5
         assert local_clustering(graph, 1) == 1.0
-        assert local_clustering(graph.compile(), 1) == 1.0
         assert average_clustering(graph, np.random.default_rng(0)) == 1.0
         assert average_path_length(graph, np.random.default_rng(0)) == 1.0
 
@@ -293,7 +306,7 @@ class TestNumpyMetricsMatchOracles:
     def test_small_bfs_cutoff(self, cutoff, expected, monkeypatch):
         # An undirected chain 1-2-3-4-5: with cutoff c only pairs at most
         # c hops apart are reached.
-        graph = FollowGraph.from_edges([(1, 2), (3, 2), (3, 4), (4, 5)])
+        graph = _compiled([(1, 2), (3, 2), (3, 4), (4, 5)])
         monkeypatch.setattr(social_metrics, "BFS_CUTOFF", cutoff)
         assert average_path_length(graph, np.random.default_rng(0), 10) == expected
         _assert_matches_oracle(graph, seed=1, sample_size=3)
@@ -316,10 +329,9 @@ class TestNumpyMetricsMatchOracles:
         cutoff=st.integers(0, 6),
     )
     def test_random_small_graphs(self, edges, seed, sample_size, cutoff):
-        graph = FollowGraph.from_edges(edges)
+        graph = _compiled(edges)
         with mock.patch.object(social_metrics, "BFS_CUTOFF", cutoff):
             _assert_matches_oracle(graph, seed, sample_size)
-            _assert_matches_oracle(graph.compile(), seed, sample_size)
 
 
 class TestNotifications:
@@ -327,13 +339,14 @@ class TestNotifications:
         service = NotificationService(graph=small_graph)
         broadcaster = next(iter(small_graph.nodes()))
         notified = service.notify_followers(broadcaster)
-        assert notified == small_graph.followers_of(broadcaster)
+        assert np.array_equal(notified, small_graph.followers_of(broadcaster))
+        assert service.notifications_sent == len(notified)
 
     def test_joining_followers_subset(self, small_graph, rng):
         service = NotificationService(graph=small_graph, open_rate=0.5)
         broadcaster = max(small_graph.nodes(), key=small_graph.follower_count)
         joiners = service.joining_followers(broadcaster, rng)
-        assert set(joiners) <= small_graph.followers_of(broadcaster)
+        assert set(joiners) <= set(small_graph.followers_of(broadcaster).tolist())
 
     def test_zero_open_rate_joins_nobody(self, small_graph, rng):
         service = NotificationService(graph=small_graph, open_rate=0.0)
@@ -344,16 +357,30 @@ class TestNotifications:
         service = NotificationService(graph=small_graph, open_rate=1.0)
         broadcaster = max(small_graph.nodes(), key=small_graph.follower_count)
         joiners = service.joining_followers(broadcaster, rng)
-        assert set(joiners) == small_graph.followers_of(broadcaster)
+        assert joiners == small_graph.followers_of(broadcaster).tolist()
 
     def test_binomial_shortcut_for_large_fanouts(self, rng):
-        graph = FollowGraph()
-        for i in range(1, 500):
-            graph.add_follow(i, 0)
+        graph = CompiledGraph.from_edge_arrays(np.arange(1, 500), np.zeros(499), n_nodes=500)
         service = NotificationService(graph=graph, open_rate=0.1, max_sampled_followers=100)
         joiners = service.joining_followers(0, rng)
         assert 10 <= len(joiners) <= 120  # ~50 expected
         assert len(set(joiners)) == len(joiners)
+
+    def test_follower_less_broadcaster(self, rng):
+        graph = CompiledGraph.from_edge_arrays([2, 3], [1, 1], node_ids=np.array([1, 2, 3, 9]))
+        service = NotificationService(graph=graph, open_rate=1.0)
+        for broadcaster in (2, 9, 50):  # a followee, an isolated node, an unknown ID
+            assert service.joining_followers(broadcaster, rng) == []
+        assert service.notifications_sent == 0
+
+    def test_many_follower_broadcaster(self, rng):
+        graph = CompiledGraph.from_edge_arrays(
+            [70, 20, 40, 20], [10, 10, 10, 40], node_ids=np.array([10, 20, 40, 70])
+        )
+        service = NotificationService(graph=graph, open_rate=1.0)
+        assert service.joining_followers(10, rng) == [20, 40, 70]
+        assert service.joining_followers(40, rng) == [20]
+        assert service.notifications_sent == 4
 
     def test_invalid_open_rate_rejected(self, small_graph):
         with pytest.raises(ValueError):
@@ -372,7 +399,7 @@ class TestDegreeDistribution:
     def test_ccdf_monotone_decreasing(self, rng):
         from repro.social.metrics import degree_ccdf
 
-        graph = generate_follow_graph(FollowGraphConfig(n_nodes=1000), rng)
+        graph = generate_follow_graph_compiled(FollowGraphConfig(n_nodes=1000), rng)
         degrees, ccdf = degree_ccdf(graph, kind="in")
         assert list(degrees) == sorted(degrees)
         assert all(b <= a for a, b in zip(ccdf, ccdf[1:]))
@@ -391,7 +418,7 @@ class TestDegreeDistribution:
     def test_powerlaw_alpha_in_plausible_range(self, rng):
         from repro.social.metrics import estimate_powerlaw_alpha
 
-        graph = generate_follow_graph(FollowGraphConfig(n_nodes=3000), rng)
+        graph = generate_follow_graph_compiled(FollowGraphConfig(n_nodes=3000), rng)
         alpha = estimate_powerlaw_alpha(graph, kind="in", x_min=5)
         assert 1.3 < alpha < 4.0  # heavy-tailed, social-graph-like
 
