@@ -35,12 +35,16 @@
 #                                             # exactly the committed
 #                                             # scorecard.txt (every claim
 #                                             # and measured value)
-#   scripts/check.sh engine                   # the fig12 delay campaign
-#                                             # (60 broadcasts, seed 2016)
+#   scripts/check.sh engine                   # the fig12 delay campaign on
+#                                             # the event engine (the oracle
+#                                             # in tests/delay_oracles.py;
+#                                             # 60 broadcasts, seed 2016)
 #                                             # must process exactly 490,883
 #                                             # events in under 300,000 heap
 #                                             # pushes (exact counts, not
-#                                             # timings)
+#                                             # timings), and the library's
+#                                             # campaign must equal its
+#                                             # traces byte for byte
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -167,8 +171,11 @@ if [[ "${1:-}" == "scorecard" ]]; then
 fi
 
 if [[ "${1:-}" == "engine" ]]; then
-    PYTHONPATH=src python - <<'EOF'
-from repro.core import pipeline
+    # The library computes the campaign without the engine; the engine
+    # campaign it replaced is the test oracle, so this gate runs that.
+    PYTHONPATH=src:tests python - <<'EOF'
+import delay_oracles
+from repro.core.pipeline import DelayMeasurementCampaign
 from repro.experiments.context import DEFAULT_CAMPAIGN_BROADCASTS, DEFAULT_SEED
 from repro.obs.metrics import MetricsRegistry
 from repro.simulation.engine import Simulator
@@ -184,18 +191,20 @@ def observed_simulator(*args, **kwargs):
     return Simulator(*args, metrics=registry, **kwargs)
 
 
-pipeline.Simulator = observed_simulator
-pipeline.DelayMeasurementCampaign(
-    n_broadcasts=DEFAULT_CAMPAIGN_BROADCASTS, seed=DEFAULT_SEED
-).run()
+delay_oracles.Simulator = observed_simulator
+config = dict(n_broadcasts=DEFAULT_CAMPAIGN_BROADCASTS, seed=DEFAULT_SEED)
+oracle = delay_oracles.EngineDelayCampaign(**config).run()
 snapshots = [registry.snapshot()["counters"] for registry in registries]
 events = int(sum(s["engine.events_processed"]["value"] for s in snapshots))
 pushes = int(sum(s["engine.heap_pushes"]["value"] for s in snapshots))
 assert events == 490_883, f"campaign processed {events} events, expected 490,883"
 assert pushes < 300_000, f"campaign made {pushes} heap pushes, expected < 300,000"
+library = DelayMeasurementCampaign(**config).run()
+assert delay_oracles.trace_bytes(library) == delay_oracles.trace_bytes(oracle), \
+    "library campaign traces differ from the engine campaign's"
 print(
     f"engine ok: {len(registries)} simulators, {events} events, "
-    f"{pushes} heap pushes"
+    f"{pushes} heap pushes; library traces equal the engine's"
 )
 EOF
     exit 0

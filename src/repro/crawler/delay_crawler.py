@@ -26,6 +26,9 @@ from repro.protocols.frames import VideoFrame
 from repro.protocols.hls import Chunklist
 from repro.simulation.engine import Simulator
 
+#: The HLS crawler's chunklist poll interval (§4.3).
+HLS_POLL_INTERVAL_S = 0.1
+
 
 @dataclass(frozen=True)
 class ChunkObservation:
@@ -42,7 +45,7 @@ class DelayCrawler:
 
     broadcast_id: int
     simulator: Simulator
-    poll_interval_s: float = 0.1
+    poll_interval_s: float = HLS_POLL_INTERVAL_S
     stop_after: float = float("inf")
     # RTMP observations, one entry per frame in push order.
     frame_sequences: list[int] = field(default_factory=list)

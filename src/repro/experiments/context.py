@@ -67,6 +67,12 @@ def meerkat_trace(scale: float = DEFAULT_SCALE, seed: int = DEFAULT_SEED) -> Wor
 def delay_traces(
     n_broadcasts: int = DEFAULT_CAMPAIGN_BROADCASTS, seed: int = DEFAULT_SEED
 ) -> tuple[BroadcastTrace, ...]:
+    """The delay campaign's per-broadcast traces (Figures 12, 13, 16, 17).
+
+    Computed directly by :class:`DelayMeasurementCampaign`, one step per
+    origin pull, without the event engine; the engine-run campaign it
+    equals byte for byte is the test oracle in ``tests/delay_oracles.py``.
+    """
     campaign = DelayMeasurementCampaign(n_broadcasts=n_broadcasts, seed=seed)
     return tuple(campaign.run())
 

@@ -13,6 +13,9 @@ from typing import Iterator, Optional
 
 import numpy as np
 
+#: Entries a live chunklist advertises: older chunks fall out of the window.
+LIVE_WINDOW_ENTRIES = 6
+
 
 @dataclass(frozen=True)
 class ChunklistEntry:
@@ -34,7 +37,7 @@ class Chunklist:
 
     entries: list[ChunklistEntry] = field(default_factory=list)
     version: int = 0
-    max_entries: int = 6  # live HLS playlists advertise a short window
+    max_entries: int = LIVE_WINDOW_ENTRIES
 
     def append(self, chunk_index: int, duration_s: float, now: float) -> None:
         if self.entries and chunk_index <= self.entries[-1].chunk_index:

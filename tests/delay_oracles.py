@@ -1,6 +1,12 @@
-"""Reference frame delivery, written the slow way: one event per frame.
+"""Reference delay simulations, written the slow way.
 
-The library times a broadcast's frames in one
+The library computes the fig12 delay campaign's traces directly, as a
+per-chunk recurrence (:meth:`DelayMeasurementCampaign._crawl_one`).
+:class:`EngineDelayCampaign` is the version it replaced: every broadcast
+runs a broadcaster, a Wowza ingest, a Fastly edge and the 0.1 s delay
+crawler on its own event engine.
+
+The library also times a broadcast's frames in one
 :meth:`~repro.client.network.LastMileLink.send_many` pass, schedules them
 as one :meth:`~repro.simulation.engine.Simulator.schedule_series`, and
 has RTMP viewers record a frame's arrival the moment it is pushed.  These
@@ -15,21 +21,106 @@ to them.
 from __future__ import annotations
 
 import importlib
+from typing import TYPE_CHECKING
 
-import pytest
+import numpy as np
 
+from repro.cdn.fastly import FastlyEdge
 from repro.cdn.wowza import WowzaIngest
 from repro.client.broadcaster import BroadcasterClient
 from repro.client.viewer_client import RtmpViewerClient
+from repro.core.pipeline import (
+    CRAWL_TAIL_S,
+    RUN_TAIL_S,
+    BroadcastTrace,
+    DelayMeasurementCampaign,
+)
+from repro.crawler.delay_crawler import DelayCrawler
 from repro.protocols.frames import VideoFrame
+from repro.simulation.engine import Simulator
+from repro.simulation.randomness import RandomStreams
+
+if TYPE_CHECKING:
+    import pytest
 
 #: Modules that build broadcaster or RTMP viewer clients by name.
 CLIENT_MODULES = (
-    "repro.core.pipeline",
+    "delay_oracles",
     "repro.core.delay_breakdown",
     "repro.core.full_broadcast",
     "repro.overlay.comparison",
 )
+
+
+class EngineDelayCampaign(DelayMeasurementCampaign):
+    """The delay campaign with every broadcast run on its own event engine."""
+
+    def _crawl_one(
+        self,
+        index: int,
+        duration_s: float,
+        streams: RandomStreams,
+        placement_rng: np.random.Generator,
+    ) -> BroadcastTrace:
+        broadcast = self._place(index, duration_s, streams, placement_rng)
+        broadcast_id = broadcast.broadcast_id
+        simulator = Simulator()
+        wowza = WowzaIngest(
+            broadcast.wowza_dc, simulator, frames_per_chunk=broadcast.frames_per_chunk
+        )
+        edge = FastlyEdge(
+            broadcast.fastly_dc, simulator, self.transfer_model, broadcast.edge_rng
+        )
+        edge.attach_broadcast(broadcast_id, wowza)
+        broadcaster = BroadcasterClient(
+            broadcast_id=broadcast_id,
+            token=f"bcast-{broadcast_id}",
+            simulator=simulator,
+            wowza=wowza,
+            uplink=broadcast.uplink,
+            frame_interval_s=self.profile.frame_interval_s,
+        )
+        crawler = DelayCrawler(
+            broadcast_id=broadcast_id,
+            simulator=simulator,
+            stop_after=duration_s + CRAWL_TAIL_S,
+        )
+        broadcaster.start(start_time=0.0, duration_s=duration_s)
+        crawler.attach_rtmp(wowza)
+        crawler.attach_hls(edge)
+
+        simulator.run(until=duration_s + RUN_TAIL_S)
+
+        return BroadcastTrace(
+            broadcast_id=broadcast_id,
+            duration_s=duration_s,
+            frame_arrivals=crawler.frame_arrival_trace(),
+            chunk_ready=np.array(wowza.record_for(broadcast_id).chunk_arrival_times()),
+            chunk_availability=crawler.chunk_availability_trace(),
+            chunk_duration_s=broadcast.chunk_duration_s,
+            frame_interval_s=self.profile.frame_interval_s,
+        )
+
+
+def trace_bytes(traces: list[BroadcastTrace]) -> list[tuple]:
+    """Every field of every trace, the series as dtype and raw bytes."""
+    return [
+        (
+            trace.broadcast_id,
+            trace.duration_s,
+            trace.chunk_duration_s,
+            trace.frame_interval_s,
+            *(
+                (series.dtype.str, series.tobytes())
+                for series in (
+                    trace.frame_arrivals,
+                    trace.chunk_ready,
+                    trace.chunk_availability,
+                )
+            ),
+        )
+        for trace in traces
+    ]
 
 
 class OracleBroadcasterClient(BroadcasterClient):
