@@ -65,12 +65,15 @@ class LatencyModel:
         distance = a.distance_km(b) * self.path_stretch
         return self.base_delay_s + distance / FIBRE_KM_PER_SECOND
 
+    def jittered(self, base_s: float, rng: np.random.Generator) -> float:
+        """``base_s`` with one multiplicative jitter draw (none if disabled)."""
+        if self.jitter_sigma <= 0:
+            return base_s
+        return base_s * float(rng.lognormal(mean=0.0, sigma=self.jitter_sigma))
+
     def one_way_s(self, a: GeoPoint, b: GeoPoint, rng: np.random.Generator) -> float:
         """One jittered one-way delay sample."""
-        base = self.propagation_s(a, b)
-        if self.jitter_sigma <= 0:
-            return base
-        return base * float(rng.lognormal(mean=0.0, sigma=self.jitter_sigma))
+        return self.jittered(self.propagation_s(a, b), rng)
 
     def rtt_s(self, a: GeoPoint, b: GeoPoint, rng: np.random.Generator) -> float:
         """One jittered round-trip sample (two independent one-way draws)."""
